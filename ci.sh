@@ -45,37 +45,17 @@ st_darbench() { cargo test --release --offline --manifest-path darbench/Cargo.to
 
 # The full suite runs under two thread budgets. Results must not depend
 # on the budget (DESIGN.md §9) — a test that passes serially but fails
-# parallel (or vice versa) is a determinism bug, not flakiness. This also
-# exercises tests/obs_determinism.rs process-wide and the kernel-backend
-# equivalence harness (tests/kernel_equivalence.rs) under both budgets.
+# parallel (or vice versa) is a determinism bug, not flakiness. These two
+# stages are the only place each suite runs: the serving chaos harness
+# (serving_chaos, §10), the online loop (online_loop, §13), scale-out
+# (scale_out, §14), crash recovery (crash_recovery, §15), self-healing
+# (self_healing, §16), the numeric fuzz (numeric_fuzz, §11), the obs
+# goldens (obs_determinism) and the kernel-backend equivalence harness
+# (kernel_equivalence) all run under both budgets here, and a failure
+# names its test binary. To rerun one suite under one budget:
+#   DAR_THREADS=4 cargo test --release --test self_healing
 st_test_t1() { DAR_THREADS=1 cargo test --workspace --release -q; }
 st_test_t4() { DAR_THREADS=4 cargo test --workspace --release -q; }
-
-# The serving chaos harness (DESIGN.md §10) is part of the workspace runs
-# above; it is also invoked by name under both budgets so a serving
-# regression is unmistakable in the CI log.
-st_chaos_t1() { DAR_THREADS=1 cargo test --release -q --test serving_chaos; }
-st_chaos_t4() { DAR_THREADS=4 cargo test --release -q --test serving_chaos; }
-
-# The online-loop chaos suite (DESIGN.md §13) under both budgets: the
-# promotion-journal goldens inside assert the event sequence is
-# byte-identical whatever the thread budget.
-st_online_t1() { DAR_THREADS=1 cargo test --release -q --test online_loop; }
-st_online_t4() { DAR_THREADS=4 cargo test --release -q --test online_loop; }
-
-# The scale-out chaos + saturation suite (DESIGN.md §14) under both
-# budgets: replica sweeps, exactly-one-outcome under stealing, atomic
-# weight publication, tenant fairness, and the replica-count-invariant
-# obs golden.
-st_scale_out_t1() { DAR_THREADS=1 cargo test --release -q --test scale_out; }
-st_scale_out_t4() { DAR_THREADS=4 cargo test --release -q --test scale_out; }
-
-# The self-healing chaos suite (DESIGN.md §16) under both budgets:
-# stall-quarantine-hedge at 1/2/4 replicas, probation rejoin, the
-# canary-voiding quarantine, the supervisor deadline sweep, and the
-# watchdog-silent obs golden.
-st_watchdog_t1() { DAR_THREADS=1 cargo test --release -q --test self_healing; }
-st_watchdog_t4() { DAR_THREADS=4 cargo test --release -q --test self_healing; }
 
 # Record sustained throughput + tail latency of the serving demo into
 # results/serve_bench.txt and the obs_serve.json observability snapshot.
@@ -102,12 +82,6 @@ st_health_bench() {
 # obs_online.json snapshot. The binary exits non-zero on any dropped
 # request, trainer death, or a promotion that failed its accuracy bar.
 st_loop_bench() { cargo run --release --bin dar-loop -- --rounds 3 --out results; }
-
-# Crash-safety chaos harness (DESIGN.md §15) under both budgets: the
-# WAL byte-offset sweeps, the abort-at-every-op sweep, and the real
-# SIGKILL-and-recover drill against the dar-loop drill fixture.
-st_crash_recovery_t1() { DAR_THREADS=1 cargo test --release -q --test crash_recovery; }
-st_crash_recovery_t4() { DAR_THREADS=4 cargo test --release -q --test crash_recovery; }
 
 # Kill-and-recover drill fixture end-to-end (fresh run then a --recover
 # resume over the same journal), plus the WAL replay-latency trajectory
@@ -151,11 +125,6 @@ st_kernel_deny() {
 # gemm and gru_bptt, >= 1.3x end to end) on SIMD-capable machines.
 st_kernel_bench() { cargo run --release --bin numbench -- --kernels --out results; }
 
-# Adversarial numeric fuzz: every public op returns a finite result or a
-# typed error under hostile inputs — never a panic — on both budgets.
-st_fuzz_t1() { DAR_THREADS=1 cargo test --release -q --test numeric_fuzz; }
-st_fuzz_t4() { DAR_THREADS=4 cargo test --release -q --test numeric_fuzz; }
-
 # Guard-rail overhead benchmark: raw vs guarded throughput on the same
 # seeded workload, recorded into results/BENCH_numeric.json (< 5% target).
 st_numbench() { cargo run --release --bin numbench -- --out results; }
@@ -195,10 +164,7 @@ st_selftest_fail() {
 # and run before anything build-heavy; clippy compiles but still beats a
 # full release build + test sweep.
 STAGE_NAMES=(fmt ops-deny kernel-deny clippy build par-tests darbench test-t1 test-t4
-    chaos-t1 chaos-t4
-    online-t1 online-t4 scale-out-t1 scale-out-t4 watchdog-t1 watchdog-t4
-    serve-bench serve-saturation health-bench loop-bench crash-recovery-t1
-    crash-recovery-t4 recovery-drill fuzz-t1 fuzz-t4 numbench
+    serve-bench serve-saturation health-bench loop-bench recovery-drill numbench
     obsbench kernel-bench benchgate)
 [[ ${DAR_CI_SELFTEST:-0} == 1 ]] && STAGE_NAMES+=(selftest-fail)
 

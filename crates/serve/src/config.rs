@@ -65,10 +65,6 @@ pub struct ServeConfig {
 /// matter*.
 #[derive(Debug, Clone)]
 pub struct HealthPolicy {
-    /// Master switch. `false` restores the pre-§16 supervisor: death
-    /// respawn only, no stall detection (the deadline sweep stays — it
-    /// is a bug fix, not a health feature).
-    pub enabled: bool,
     /// Missed-heartbeat budget: a replica holding work (queued or
     /// in-flight) whose progress counter is silent this long becomes
     /// `Suspect`.
@@ -93,7 +89,6 @@ pub struct HealthPolicy {
 impl Default for HealthPolicy {
     fn default() -> Self {
         HealthPolicy {
-            enabled: true,
             stall_budget: Duration::from_secs(2),
             deadline_grace: Duration::from_millis(500),
             probation_probes: 2,

@@ -15,8 +15,9 @@
 //! ```
 //!
 //! The decision logic here is pure (`Instant`s in, verdicts out) so it
-//! can be unit-tested without threads; the supervisor in `server.rs`
-//! owns the side effects (drain, hedge, respawn, routing mask).
+//! can be unit-tested without threads. The dispatch core (`dispatch.rs`)
+//! applies the drain verdicts and owns the routing mask; the supervisor
+//! (`supervisor.rs`) owns the watchdog tick and respawns.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -31,8 +32,9 @@ pub enum HealthState {
     /// Holding work but silent past the missed-heartbeat budget; the
     /// deadline-aware grace clock is running.
     Suspect,
-    /// Abandoned: routing detours around it, its queue is force-drained,
-    /// its thread is disowned, a replacement is pending under backoff.
+    /// Abandoned: routing detours around it, its queue and in-flight
+    /// batch were drained, its thread is disowned, a replacement is
+    /// pending under backoff.
     Quarantined,
     /// Respawned and serving again, but not yet trusted: it must answer
     /// `probation_probes` batches before rejoining the healthy set.
@@ -75,12 +77,13 @@ impl std::fmt::Display for HealthState {
     }
 }
 
-/// Shared per-replica health ledger: written by the worker (heartbeats)
-/// and the supervisor (state, episode counters), read by `stats()`.
+/// Shared per-replica health ledger: written by the worker (heartbeats,
+/// answers, steals) and the supervisor (state, episode counters), read by
+/// `stats()`. Plain atomics: no lock is ever taken to update it.
 #[derive(Debug, Default)]
 pub(crate) struct HealthSlot {
     /// Monotonic progress counter — the heartbeat. Bumped at claim,
-    /// batch-park, and respond boundaries; the watchdog compares
+    /// inference and respond boundaries; the watchdog compares
     /// successive reads, so the absolute value is meaningless.
     pub progress: AtomicU64,
     /// Batches answered successfully (every request got `Ok`). Probation
@@ -92,6 +95,12 @@ pub(crate) struct HealthSlot {
     pub quarantines: AtomicU64,
     /// Requests hedged *away from* this replica at quarantine drain.
     pub hedged_away: AtomicU64,
+    /// Requests this replica answered successfully (full or degraded).
+    pub served: AtomicU64,
+    /// Micro-batches this replica stole from siblings.
+    pub steals: AtomicU64,
+    /// Requests carried by those stolen batches.
+    pub stolen_requests: AtomicU64,
 }
 
 impl HealthSlot {
@@ -154,7 +163,7 @@ pub(crate) fn classify_stall(
     }
 }
 
-/// Fate of one request force-drained off a quarantined replica. Pure
+/// Fate of one request drained off a quarantined replica. Pure
 /// verdict from [`drain_verdict`]; never `Lost` — every stranded request
 /// resolves to exactly one typed outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +205,6 @@ mod tests {
 
     fn policy() -> HealthPolicy {
         HealthPolicy {
-            enabled: true,
             stall_budget: Duration::from_millis(100),
             deadline_grace: Duration::from_millis(40),
             probation_probes: 2,

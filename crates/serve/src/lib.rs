@@ -9,10 +9,20 @@
 //! the single-replica architecture and §14 the scale-out layer; the
 //! chaos harnesses in `tests/serving_chaos.rs` and `tests/scale_out.rs`
 //! (workspace root) hold the runtime to its invariants under injected
-//! faults:
+//! faults.
+//!
+//! The runtime is split by role. `dispatch` is the thread-free
+//! request-ownership core: shard queues, in-flight slots, worker
+//! generations and the quarantine mask behind one lock. `worker` runs
+//! the replica threads, `supervisor` the respawns, deadline sweep and
+//! heartbeat watchdog, and [`server`] is the public API. Every verdict
+//! goes through the ledger's one funnel in [`request`].
 //!
 //! * **Exactly one outcome per request** — admission rejection, typed
-//!   failure, or an answer; never silence, never two verdicts.
+//!   failure, or an answer; never silence, never two verdicts. The
+//!   dispatch core's tests check it exhaustively without threads, and
+//!   [`StatsSnapshot::submitted`] equals the sum of the outcome
+//!   counters once the server is quiet.
 //! * **No torn reads** — a batch runs start-to-finish on one weight
 //!   generation; hot swaps apply only between batches.
 //! * **Failure is a mode, not a retry** — the circuit breaker steps
@@ -31,12 +41,15 @@
 pub mod breaker;
 pub mod canary;
 pub mod config;
+mod dispatch;
 pub mod health;
 pub mod online;
 pub mod request;
 pub mod router;
 pub mod server;
+mod supervisor;
 pub mod weights;
+mod worker;
 
 pub use breaker::{
     BatchPlan, BreakerEvent, BreakerPolicy, BreakerState, CircuitBreaker, TransitionCause,

@@ -1,10 +1,22 @@
-//! Request/response types and the exactly-one-outcome ticket.
+//! Request/response types, the exactly-one-outcome ticket, and the
+//! request ledger: the one funnel every verdict passes through.
+//!
+//! `Ledger::resolve` is the only caller of `Pending::respond`, which is
+//! private to this module. Each verdict it delivers bumps exactly one
+//! outcome counter (mirrored to the `dar-obs` counter of the same name),
+//! so `submitted == Σ outcomes` holds in every [`StatsSnapshot`] taken
+//! once the server is quiet, not just in tests.
+//!
+//! [`StatsSnapshot`]: crate::server::StatsSnapshot
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dar_data::Review;
 use dar_tensor::DarError;
+
+use crate::health::HealthSlot;
 
 /// Successful response for one request.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,10 +85,14 @@ impl std::fmt::Display for ServeError {
 
 pub type ServeResult = Result<ServeOutput, ServeError>;
 
-/// One queued request. Owned by the queue, then by exactly one worker's
-/// in-flight slot, until `respond` consumes it.
+/// One submitted request. Owned by exactly one place at a time — a shard
+/// queue or a replica's in-flight slot inside the dispatch core — until
+/// [`Ledger::resolve`] consumes it.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Pending {
-    pub review: Review,
+    /// Shared with the worker that assembles it into a batch; the request
+    /// itself stays parked in the core while inference runs.
+    pub review: Arc<Review>,
     pub deadline: Instant,
     /// Submission sequence number — the deterministic canary routing key
     /// (`seq % slice_modulus` picks the arm; DESIGN.md §13).
@@ -95,15 +111,17 @@ pub(crate) struct Pending {
 }
 
 impl Pending {
-    pub fn new(review: Review, deadline: Instant, seq: u64, tenant: u64) -> (Self, Ticket) {
+    /// A request submitted now, due within `deadline`.
+    pub fn new(review: Review, deadline: Duration, seq: u64, tenant: u64) -> (Self, Ticket) {
         let (tx, rx) = mpsc::channel();
+        let submitted = Instant::now();
         (
             Pending {
-                review,
-                deadline,
+                review: Arc::new(review),
+                deadline: submitted + deadline,
                 seq,
                 tenant,
-                submitted: Instant::now(),
+                submitted,
                 hedged: false,
                 tx,
             },
@@ -116,9 +134,9 @@ impl Pending {
     }
 
     /// Deliver the verdict. Consumes the request, so the type system
-    /// enforces at-most-once; the runtime structure (queue → in-flight
-    /// slot → respond) enforces at-least-once.
-    pub fn respond(self, result: ServeResult) {
+    /// enforces at-most-once; the dispatch core (queue → in-flight slot →
+    /// answered) enforces at-least-once.
+    fn respond(self, result: ServeResult) {
         // The client may have dropped its ticket; that's its business.
         let _ = self.tx.send(result);
     }
@@ -142,5 +160,165 @@ impl Ticket {
             Err(mpsc::RecvTimeoutError::Timeout) => None,
             Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::Lost)),
         }
+    }
+}
+
+/// Every number the ledger keeps: submissions, the outcome kinds (exactly
+/// one per submitted request), and runtime events. Each mirrors the
+/// `dar-obs` counter named by [`Count::obs_name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Count {
+    Submitted,
+    ServedFull,
+    ServedDegraded,
+    Rejected,
+    QueueFull,
+    Shed,
+    DeadlineExceeded,
+    Throttled,
+    WorkerPanicked,
+    Shutdown,
+    Abandoned,
+    Panics,
+    Steals,
+    StolenRequests,
+    Stalls,
+    Quarantines,
+    Rejoins,
+    Hedged,
+}
+
+const COUNTS: usize = Count::Hedged as usize + 1;
+
+impl Count {
+    pub fn obs_name(self) -> &'static str {
+        match self {
+            Count::Submitted => "serve.submitted",
+            Count::ServedFull => "serve.served_full",
+            Count::ServedDegraded => "serve.served_degraded",
+            Count::Rejected => "serve.rejected",
+            Count::QueueFull => "serve.queue_full",
+            Count::Shed => "serve.shed",
+            Count::DeadlineExceeded => "serve.deadline_exceeded",
+            Count::Throttled => "serve.tenant_throttled",
+            Count::WorkerPanicked => "serve.worker_panicked",
+            Count::Shutdown => "serve.shutdown",
+            Count::Abandoned => "serve.abandoned",
+            Count::Panics => "serve.panics",
+            Count::Steals => "serve.steals",
+            Count::StolenRequests => "serve.stolen_requests",
+            Count::Stalls => "serve.replica_stalls",
+            Count::Quarantines => "serve.quarantines",
+            Count::Rejoins => "serve.rejoins",
+            Count::Hedged => "serve.hedged_requests",
+        }
+    }
+
+    /// The outcome kind a failure verdict counts as.
+    fn of_error(e: &ServeError) -> Count {
+        match e {
+            ServeError::Rejected(_) | ServeError::DegradedUnavailable => Count::Rejected,
+            ServeError::QueueFull => Count::QueueFull,
+            ServeError::DeadlineExceeded => Count::DeadlineExceeded,
+            ServeError::Shed => Count::Shed,
+            ServeError::TenantThrottled => Count::Throttled,
+            ServeError::WorkerPanicked => Count::WorkerPanicked,
+            ServeError::Shutdown => Count::Shutdown,
+            ServeError::Abandoned => Count::Abandoned,
+            ServeError::Lost => unreachable!("the runtime never answers Lost"),
+        }
+    }
+}
+
+/// How one request resolves.
+pub(crate) enum Verdict {
+    /// `Served(answer, slot, born)`: answered by replica `slot` from a
+    /// batch that started at `born` (latency percentiles start there,
+    /// after the queue wait).
+    Served(ServeOutput, usize, Instant),
+    Failed(ServeError),
+}
+
+/// Latency samples kept for exact percentiles; a long-lived server stops
+/// sampling past this rather than grow without bound.
+const LATENCY_SAMPLES: usize = 1_000_000;
+
+/// The request ledger: outcome and event counters, latency samples, and
+/// the per-replica health slots. Written lock-free except for the
+/// latency samples, whose mutex is a leaf (nothing is locked under it).
+pub(crate) struct Ledger {
+    counts: [AtomicU64; COUNTS],
+    latencies_us: Mutex<Vec<u64>>,
+    /// One heartbeat ledger + health state + counters per replica.
+    pub replicas: Vec<HealthSlot>,
+}
+
+impl Ledger {
+    pub fn new(replicas: usize) -> Self {
+        Ledger {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            latencies_us: Mutex::new(Vec::new()),
+            replicas: (0..replicas).map(|_| HealthSlot::default()).collect(),
+        }
+    }
+
+    /// Add `n` to a counter and its `dar-obs` mirror; returns the value
+    /// before the add. Zero adds nothing, so an event that never happens
+    /// never appears in a snapshot.
+    pub fn count(&self, c: Count, n: u64) -> u64 {
+        if n == 0 {
+            return self.get(c);
+        }
+        dar_obs::add(c.obs_name(), n);
+        self.counts[c as usize].fetch_add(n, Ordering::Relaxed)
+    }
+
+    pub fn get(&self, c: Count) -> u64 {
+        self.counts[c as usize].load(Ordering::Relaxed)
+    }
+
+    /// Deliver one verdict: count its outcome kind, record a success's
+    /// latency and replica, and answer the ticket. The only caller of
+    /// `Pending::respond`.
+    pub fn resolve(&self, p: Pending, verdict: Verdict) {
+        let (kind, result) = match verdict {
+            Verdict::Served(out, slot, born) => {
+                let us = born.elapsed().as_micros() as u64;
+                dar_obs::record_micros("serve/latency", us);
+                self.replicas[slot].served.fetch_add(1, Ordering::Relaxed);
+                let kind = [Count::ServedFull, Count::ServedDegraded][usize::from(out.degraded)];
+                let mut lat = self.latencies_us.lock().expect("latency samples poisoned");
+                if lat.len() < LATENCY_SAMPLES {
+                    lat.push(us);
+                }
+                (kind, Ok(out))
+            }
+            Verdict::Failed(e) => (Count::of_error(&e), Err(e)),
+        };
+        self.count(kind, 1);
+        p.respond(result);
+    }
+
+    /// Resolve every `(request, error)` pair, e.g. the ones a dispatch
+    /// core transition handed back.
+    pub fn fail_all(&self, answers: impl IntoIterator<Item = (Pending, ServeError)>) {
+        for (p, e) in answers {
+            self.resolve(p, Verdict::Failed(e));
+        }
+    }
+
+    /// Exact `(p50, p99, max)` over the successful answers so far, in µs.
+    pub fn latency_percentiles(&self) -> (u64, u64, u64) {
+        let mut lat = self
+            .latencies_us
+            .lock()
+            .expect("latency samples poisoned")
+            .clone();
+        if lat.is_empty() {
+            return (0, 0, 0);
+        }
+        lat.sort_unstable();
+        let pct = |p: f64| lat[((lat.len() as f64 - 1.0) * p).round() as usize];
+        (pct(0.5), pct(0.99), lat[lat.len() - 1])
     }
 }

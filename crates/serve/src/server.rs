@@ -1,21 +1,12 @@
-//! The serving runtime: sharded bounded queues → per-replica adaptive
-//! micro-batchers with work stealing → worker replicas → circuit
-//! breaker, with supervisor respawn and atomic weight swap.
+//! The serving runtime's public face: [`Server`] and its statistics.
 //!
-//! ## Why replicas
-//!
-//! `Tensor` is `Rc`-based and deliberately not `Send`, so model state can
-//! never be shared across threads. Each replica therefore *builds its own
-//! model copy* in-thread from a [`ModelFactory`] (which captures only
-//! plain `Send` data) and keeps it aligned with the published
-//! [`WeightStore`] generation by re-applying weights **between batches**.
-//! Inside a batch the replica is untouched by swaps — that is the
-//! no-torn-read guarantee. The weight *values* are shared: one
-//! `Arc<WeightSet>` per generation, published once, with a lock-free
-//! version hint so the steady-state sync is a single atomic load
-//! (O(1) publication whatever the replica count). Tensor ops inside
-//! each worker still fork-join onto the shared `dar-par` pool, so
-//! `DAR_THREADS` bounds total compute.
+//! Requests flow from [`Server::submit_for_tenant`] through admission and
+//! the circuit breaker into the dispatch core (`dispatch.rs`), which owns
+//! them in per-replica queue shards and in-flight slots; replica workers
+//! (`worker.rs`) claim micro-batches, run them and answer them; the
+//! supervisor (`supervisor.rs`) respawns dead workers, sweeps deadlines
+//! and runs the heartbeat watchdog. Every verdict, from any of them,
+//! goes through the ledger's one funnel (`request.rs`).
 //!
 //! ## Sharded routing and work stealing (DESIGN.md §14)
 //!
@@ -23,50 +14,52 @@
 //! hashed onto its *home shard* by [`route_tenant`] — stable across
 //! restarts and thread budgets — so per-tenant admission (fair-share
 //! throttling) is a single-shard check. An idle replica whose own shard
-//! is empty scans its siblings and steals one whole micro-batch from the
-//! longest queue, but only past a backlog threshold
+//! is empty steals one whole micro-batch from the longest sibling queue,
+//! but only past a backlog threshold
 //! ([`StealPolicy`](crate::config::StealPolicy)): strictly sequential
 //! traffic never experiences a steal, which keeps the deterministic obs
 //! section byte-identical to a single-replica run.
 //!
 //! ## Exactly one outcome
 //!
-//! A request is owned by exactly one place at any time: its home shard's
-//! queue, a replica's in-flight slot, or (transiently) the stack of the
-//! code about to respond. Stealing preserves this: a steal moves
-//! requests from the victim's queue straight into the thief's in-flight
-//! slot under the victim's queue lock — there is no instant where a
-//! request is owned by both or neither. Whoever owns it when a verdict
-//! is known calls [`Pending::respond`], which consumes it. If a worker
-//! thread dies mid-batch, the supervisor drains its in-flight slot and
-//! answers those requests with `WorkerPanicked`; at shutdown every shard
-//! is drained with `Shutdown`. The chaos harness asserts `Lost` is never
-//! observed.
+//! A request is always `Queued(shard)`, `InFlight(replica, gen)` or
+//! answered, and every move between those states is one dispatch-core
+//! transition under one lock: a steal moves requests from the victim's
+//! queue straight into the thief's in-flight slot, and a quarantine
+//! revokes, drains and reroutes in the same critical section. Shutdown
+//! answers every queued request `Shutdown`; a dead worker's in-flight
+//! slot answers `WorkerPanicked`. The chaos harnesses assert `Lost` is
+//! never observed, and the ledger makes `submitted == Σ outcomes`
+//! checkable in any [`StatsSnapshot`] of a quiet server.
+//!
+//! ## Lock order
+//!
+//! The dispatch core, breaker, canary and latency-sample mutexes are
+//! never held together: each is taken alone and released before the next.
+//! The one nesting is `canary` → the `WeightStore`'s own locks (canary
+//! setup and settlement). Heartbeats and counters are atomics.
+//!
+//! [`route_tenant`]: crate::router::route_tenant
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dar_core::models::RationaleModel;
-use dar_data::{Batch, Review};
+use dar_data::Review;
 use dar_obs::ObsEvent;
-use dar_tensor::no_grad;
 
-use crate::breaker::{BatchPlan, BreakerEvent, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerEvent, BreakerState, CircuitBreaker};
 use crate::canary::{
-    decide, routes_to_canary, splitmix64, ArmStats, CanaryDecision, CanaryOutcome, CanaryPolicy,
-    CanarySnapshot, PromotionPhase, RollbackCause,
+    decide, ArmStats, CanaryDecision, CanaryOutcome, CanaryPolicy, CanarySnapshot, PromotionPhase,
+    RollbackCause,
 };
-use crate::config::{RespawnBackoff, ServeConfig};
-use crate::health::{
-    classify_stall, drain_verdict, DrainFate, HealthSlot, HealthState, StallVerdict,
-};
-use crate::request::{Pending, ServeError, ServeOutput, Ticket};
-use crate::router::route_tenant_healthy;
+use crate::config::ServeConfig;
+use crate::dispatch::Core;
+use crate::health::HealthState;
+use crate::request::{Count, Ledger, Pending, ServeError, Ticket, Verdict};
+use crate::supervisor::Supervisor;
 use crate::weights::{WeightSet, WeightStore};
 
 /// Builds one model replica. Called on each worker thread (replicas are
@@ -75,49 +68,6 @@ use crate::weights::{WeightSet, WeightStore};
 /// the weight swap does not cover (frozen parts are excluded from
 /// `params()` and thus from checkpoints).
 pub type ModelFactory = Arc<dyn Fn() -> Box<dyn RationaleModel> + Send + Sync>;
-
-struct QueueState {
-    items: VecDeque<Pending>,
-    accepting: bool,
-}
-
-/// One replica's bounded queue plus its wakeup signal.
-struct Shard {
-    queue: Mutex<QueueState>,
-    notify: Condvar,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                accepting: true,
-            }),
-            notify: Condvar::new(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct StatsInner {
-    served_full: u64,
-    served_degraded: u64,
-    rejected: u64,
-    queue_full: u64,
-    shed: u64,
-    deadline_exceeded: u64,
-    throttled: u64,
-    steals: u64,
-    stolen_requests: u64,
-    panics: u64,
-    stalls: u64,
-    quarantines: u64,
-    rejoins: u64,
-    hedged: u64,
-    abandoned: u64,
-    latencies_us: Vec<u64>,
-}
 
 /// Per-replica counters inside a [`StatsSnapshot`].
 #[derive(Debug, Clone, Default)]
@@ -142,9 +92,17 @@ pub struct ReplicaStats {
 }
 
 /// Point-in-time counters plus latency percentiles (microseconds, over
-/// successful responses).
+/// successful responses, from batch start — the queue wait excluded).
+///
+/// Every submitted request lands in exactly one outcome field —
+/// `served_full`, `served_degraded`, `rejected`, `queue_full`, `shed`,
+/// `deadline_exceeded`, `throttled`, `worker_panicked`, `shutdown` or
+/// `abandoned` — so once the server is quiet (after
+/// [`Server::shutdown`], for instance) they sum to `submitted`.
 #[derive(Debug, Clone, Default)]
 pub struct StatsSnapshot {
+    /// Requests submitted, whatever became of them.
+    pub submitted: u64,
     pub served_full: u64,
     pub served_degraded: u64,
     pub rejected: u64,
@@ -153,6 +111,11 @@ pub struct StatsSnapshot {
     pub deadline_exceeded: u64,
     /// Submissions refused by per-tenant fair-share admission.
     pub throttled: u64,
+    /// Requests answered `WorkerPanicked` (the panics themselves are
+    /// counted in `panics`).
+    pub worker_panicked: u64,
+    /// Requests answered `Shutdown`.
+    pub shutdown: u64,
     /// Total micro-batches stolen between replicas.
     pub steals: u64,
     /// Total requests carried by stolen batches.
@@ -178,126 +141,41 @@ pub struct StatsSnapshot {
 }
 
 /// One in-progress canary evaluation (promotion phase `Canary`).
-struct CanaryRun {
-    policy: CanaryPolicy,
-    candidate_version: u64,
-    incumbent_version: u64,
-    candidate: ArmStats,
-    incumbent: ArmStats,
+pub(crate) struct CanaryRun {
+    pub policy: CanaryPolicy,
+    /// Both arms' stats so far.
+    pub stats: CanarySnapshot,
 }
 
-/// One replica's in-flight parking slot, keyed by worker generation so
-/// an abandoned (quarantined) thread can never race the supervisor for
-/// its victims: the supervisor drains items and zeroes `owner_gen`; a
-/// stale worker coming back from inference sees the mismatch and
-/// discards its outputs instead of responding twice.
-#[derive(Default)]
-struct InflightSlot {
-    /// Generation of the worker that parked `items` (0 = none).
-    owner_gen: u64,
-    items: Vec<(Pending, Instant)>,
-}
-
-struct Shared {
-    cfg: ServeConfig,
-    /// One queue shard per replica; a tenant's home shard is
-    /// `route_tenant(tenant, shards.len())`.
-    shards: Vec<Shard>,
-    breaker: Mutex<CircuitBreaker>,
-    weights: WeightStore,
-    /// One slot per replica: requests claimed from any shard live here
-    /// while inference runs, so a dying worker cannot take them along.
-    inflight: Mutex<Vec<InflightSlot>>,
-    stats: Mutex<StatsInner>,
-    replica_stats: Mutex<Vec<ReplicaStats>>,
-    /// Per-replica heartbeat ledger + health state (DESIGN.md §16).
-    health: Vec<HealthSlot>,
-    /// Bitmask of quarantined slots, read by `submit_for_tenant` for
-    /// health-aware routing. One atomic load on the hot path.
-    quarantined_mask: AtomicU64,
-    /// Authorized worker generation per slot (0 = none). A worker whose
-    /// generation no longer matches is a zombie: it must not claim,
-    /// park, drain, or respond — quarantine revokes ownership here, and
-    /// this is what makes abandoning a wedged thread safe without any
-    /// way to kill it.
-    worker_gen: Vec<AtomicU64>,
-    /// Generation allocator (starts at 1; 0 means "no worker").
-    next_gen: AtomicU64,
-    /// Submission sequence numbers — the deterministic canary routing key.
-    next_seq: AtomicU64,
+/// State shared by the server handle, the workers and the supervisor.
+pub(crate) struct Shared {
+    pub cfg: ServeConfig,
+    /// Request ownership: shard queues, in-flight slots, generations and
+    /// the quarantine mask, behind the one dispatch lock.
+    pub core: Mutex<Core>,
+    /// One wakeup per replica shard, waited on with the `core` guard.
+    pub wake: Vec<Condvar>,
+    pub breaker: Mutex<CircuitBreaker>,
+    pub weights: WeightStore,
+    pub ledger: Ledger,
     /// Cheap hot-path check before touching the `canary` mutex.
-    canary_active: AtomicBool,
-    canary: Mutex<Option<CanaryRun>>,
+    pub canary_active: AtomicBool,
+    pub canary: Mutex<Option<CanaryRun>>,
     /// Latched by the watchdog when a quarantine lands while a canary
     /// window is open. The *controller* thread consumes it in
     /// `try_conclude_canary_with` and settles the round as a typed
     /// `replica_quarantined` rollback — the watchdog never emits canary
     /// verdict events itself, preserving the single-thread determinism
     /// of the promotion journal.
-    canary_interrupted: AtomicBool,
-    shutdown: AtomicBool,
+    pub canary_interrupted: AtomicBool,
 }
 
 impl Shared {
-    fn record_success(&self, slot: usize, born: Instant, degraded: bool) {
-        let us = born.elapsed().as_micros() as u64;
-        if degraded {
-            dar_obs::inc("serve.served_degraded");
-        } else {
-            dar_obs::inc("serve.served_full");
-        }
-        dar_obs::record_micros("serve/latency", us);
-        let mut s = self.stats.lock().unwrap();
-        if degraded {
-            s.served_degraded += 1;
-        } else {
-            s.served_full += 1;
-        }
-        // Unbounded growth guard for long-lived servers.
-        if s.latencies_us.len() < 1_000_000 {
-            s.latencies_us.push(us);
-        }
-        drop(s);
-        self.replica_stats.lock().unwrap()[slot].served += 1;
+    /// Lock the dispatch core. Its transitions never panic while the
+    /// lock is held, so a poisoned lock is a runtime bug.
+    pub fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("dispatch core poisoned")
     }
-}
-
-/// Sends the worker's slot index and generation to the supervisor if the
-/// thread dies unwinding — the only signal a hard death leaves behind.
-/// The generation lets the supervisor ignore the eventual death of an
-/// already-quarantined zombie (its slot has a new worker by then).
-struct DeathNotice {
-    slot: usize,
-    gen: u64,
-    tx: mpsc::Sender<(usize, u64)>,
-}
-
-impl Drop for DeathNotice {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.tx.send((self.slot, self.gen));
-        }
-    }
-}
-
-/// Static span names so per-replica timings stay `&'static str` (the
-/// obs registry interns nothing).
-const REPLICA_SPANS: [&str; 8] = [
-    "serve_replica/0",
-    "serve_replica/1",
-    "serve_replica/2",
-    "serve_replica/3",
-    "serve_replica/4",
-    "serve_replica/5",
-    "serve_replica/6",
-    "serve_replica/7",
-];
-
-fn replica_span(slot: usize) -> &'static str {
-    REPLICA_SPANS
-        .get(slot)
-        .copied()
-        .unwrap_or("serve_replica/overflow")
 }
 
 /// The serving runtime. Dropping without [`shutdown`](Server::shutdown)
@@ -312,52 +190,24 @@ impl Server {
     /// one worker per replica shard and the supervisor, and start
     /// serving.
     pub fn start(cfg: ServeConfig, factory: ModelFactory) -> Self {
-        let initial = {
-            let model = factory();
-            WeightSet::from_params(&model.params(), 1)
-        };
+        let initial = WeightSet::from_params(&factory().params(), 1);
         let replicas = cfg.effective_replicas();
         let shared = Arc::new(Shared {
+            core: Mutex::new(Core::new(&cfg, replicas)),
+            wake: (0..replicas).map(|_| Condvar::new()).collect(),
             breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
             cfg,
-            shards: (0..replicas).map(|_| Shard::new()).collect(),
             weights: WeightStore::new(initial),
-            inflight: Mutex::new((0..replicas).map(|_| InflightSlot::default()).collect()),
-            stats: Mutex::new(StatsInner::default()),
-            replica_stats: Mutex::new(vec![ReplicaStats::default(); replicas]),
-            health: (0..replicas).map(|_| HealthSlot::default()).collect(),
-            quarantined_mask: AtomicU64::new(0),
-            worker_gen: (0..replicas).map(|_| AtomicU64::new(0)).collect(),
-            next_gen: AtomicU64::new(1),
-            next_seq: AtomicU64::new(0),
+            ledger: Ledger::new(replicas),
             canary_active: AtomicBool::new(false),
             canary: Mutex::new(None),
             canary_interrupted: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
         });
-
-        let (death_tx, death_rx) = mpsc::channel::<(usize, u64)>();
-        let handles: Vec<Option<JoinHandle<()>>> = (0..replicas)
-            .map(|slot| {
-                let gen = shared.next_gen.fetch_add(1, Ordering::SeqCst);
-                shared.worker_gen[slot].store(gen, Ordering::SeqCst);
-                Some(spawn_worker(
-                    Arc::clone(&shared),
-                    Arc::clone(&factory),
-                    slot,
-                    gen,
-                    death_tx.clone(),
-                ))
-            })
-            .collect();
-
-        let sup_shared = Arc::clone(&shared);
-        let sup_factory = Arc::clone(&factory);
+        let supervisor = Supervisor::start(Arc::clone(&shared), factory);
         let supervisor = std::thread::Builder::new()
             .name("dar-serve-supervisor".into())
-            .spawn(move || supervisor_loop(sup_shared, sup_factory, death_rx, death_tx, handles))
+            .spawn(move || supervisor.run())
             .expect("spawning dar-serve supervisor");
-
         Server {
             shared,
             supervisor: Some(supervisor),
@@ -380,24 +230,22 @@ impl Server {
     /// including for immediate rejections, which are decided here on the
     /// caller's thread.
     ///
+    /// [`route_tenant`]: crate::router::route_tenant
     /// [`ServeResult`]: crate::request::ServeResult
     pub fn submit_for_tenant(&self, review: Review, tenant: u64, deadline: Duration) -> Ticket {
         let shared = &self.shared;
-        let seq = shared.next_seq.fetch_add(1, Ordering::SeqCst);
-        let (pending, ticket) = Pending::new(review, Instant::now() + deadline, seq, tenant);
-        dar_obs::inc("serve.submitted");
+        // The submission count doubles as the sequence number — the
+        // deterministic canary routing key.
+        let seq = shared.ledger.count(Count::Submitted, 1);
+        let (pending, ticket) = Pending::new(review, deadline, seq, tenant);
+        let fail = |p, e| shared.ledger.resolve(p, Verdict::Failed(e));
 
         // Admission: cheap structural checks before anything is queued.
-        if let Err(e) = pending
-            .review
-            .admissible(shared.cfg.vocab_size, shared.cfg.max_len)
-        {
-            shared.stats.lock().unwrap().rejected += 1;
-            dar_obs::inc("serve.rejected");
-            pending.respond(Err(ServeError::Rejected(e)));
+        let cfg = &shared.cfg;
+        if let Err(e) = pending.review.admissible(cfg.vocab_size, cfg.max_len) {
+            fail(pending, ServeError::Rejected(e));
             return ticket;
         }
-
         // Breaker: an Open breaker sheds at the door (and each shed
         // brings the HalfOpen probe closer).
         {
@@ -405,61 +253,32 @@ impl Server {
             if b.shedding() {
                 b.on_shed();
                 drop(b);
-                shared.stats.lock().unwrap().shed += 1;
-                dar_obs::inc("serve.shed");
-                pending.respond(Err(ServeError::Shed));
+                fail(pending, ServeError::Shed);
                 return ticket;
             }
         }
-
         // Home shard: bounded queue (full means backpressure, not
-        // waiting) plus the per-tenant fair-share check — both are
-        // single-shard decisions thanks to sticky routing. Routing is
-        // health-aware: a quarantined home shard detours the tenant to a
-        // deterministic healthy sibling until the replica rejoins
-        // (mask 0 is exactly `route_tenant`, the steady-state path).
-        let mask = shared.quarantined_mask.load(Ordering::SeqCst);
-        let home = route_tenant_healthy(tenant, shared.shards.len(), mask);
-        let shard = &shared.shards[home];
-        let backlog = {
-            let mut q = shard.queue.lock().unwrap();
-            if !q.accepting {
-                drop(q);
-                pending.respond(Err(ServeError::Shutdown));
-                return ticket;
-            }
-            if q.items.len() >= shared.cfg.queue_cap {
-                drop(q);
-                shared.stats.lock().unwrap().queue_full += 1;
-                dar_obs::inc("serve.queue_full");
-                pending.respond(Err(ServeError::QueueFull));
-                return ticket;
-            }
-            if let Some(cap) = shared.cfg.tenant_queue_cap() {
-                // O(queue_cap) scan, only when fairness is configured:
-                // cheaper and less invasive than per-tenant counters
-                // threaded through every claim/steal/drain path.
-                let held = q.items.iter().filter(|p| p.tenant == tenant).count();
-                if held >= cap {
-                    drop(q);
-                    shared.stats.lock().unwrap().throttled += 1;
-                    dar_obs::inc("serve.tenant_throttled");
-                    pending.respond(Err(ServeError::TenantThrottled));
-                    return ticket;
+        // waiting) plus the per-tenant fair-share check, on the tenant's
+        // health-aware route.
+        let admitted = shared.core().submit(pending);
+        match admitted {
+            Err(refused) => fail(refused.0, refused.1),
+            Ok(a) => {
+                // Only wakeups someone waits for: every needless one
+                // contends with the next submit for the dispatch lock.
+                if a.wake_home {
+                    shared.wake[a.shard].notify_one();
                 }
-            }
-            q.items.push_back(pending);
-            q.items.len()
-        };
-        shard.notify.notify_one();
-        // A backlog that just reached the steal threshold wakes the idle
-        // siblings now: asleep on their own empty shards, they would
-        // otherwise look only at their next 20 ms poll, and a fast model
-        // drains a whole burst well within that.
-        if shared.cfg.steal.enabled && backlog == shared.cfg.steal_threshold() {
-            for (i, sibling) in shared.shards.iter().enumerate() {
-                if i != home {
-                    sibling.notify.notify_one();
+                // A backlog that just reached the steal threshold wakes
+                // the idle siblings now: they would otherwise look only
+                // at their next poll, and a fast model drains a whole
+                // burst well within that.
+                if a.wake_siblings {
+                    for (i, sibling) in shared.wake.iter().enumerate() {
+                        if i != a.shard {
+                            sibling.notify_one();
+                        }
+                    }
                 }
             }
         }
@@ -494,28 +313,29 @@ impl Server {
         path: impl AsRef<std::path::Path>,
         policy: CanaryPolicy,
     ) -> dar_tensor::DarResult<u64> {
-        let mut guard = self.shared.canary.lock().unwrap();
+        let shared = &self.shared;
+        let mut guard = shared.canary.lock().unwrap();
         if guard.is_some() {
             return Err(dar_tensor::DarError::InvalidData(
                 "a canary evaluation is already active".into(),
             ));
         }
-        let version = self.shared.weights.offer_canary(path)?;
+        let version = shared.weights.offer_canary(path)?;
         let policy = CanaryPolicy {
             slice_modulus: policy.slice_modulus.max(2),
             ..policy
         };
         *guard = Some(CanaryRun {
             policy,
-            candidate_version: version,
-            incumbent_version: self.shared.weights.version(),
-            candidate: ArmStats::default(),
-            incumbent: ArmStats::default(),
+            stats: CanarySnapshot {
+                candidate_version: version,
+                incumbent_version: shared.weights.version(),
+                candidate: ArmStats::default(),
+                incumbent: ArmStats::default(),
+            },
         });
-        self.shared
-            .canary_interrupted
-            .store(false, Ordering::SeqCst);
-        self.shared.canary_active.store(true, Ordering::SeqCst);
+        shared.canary_interrupted.store(false, Ordering::SeqCst);
+        shared.canary_active.store(true, Ordering::SeqCst);
         drop(guard);
         dar_obs::event(ObsEvent::CanaryStarted { version });
         dar_obs::inc("serve.canaries_started");
@@ -525,12 +345,7 @@ impl Server {
     /// Both arms' stats so far, or `None` when no canary is active.
     pub fn canary_snapshot(&self) -> Option<CanarySnapshot> {
         let guard = self.shared.canary.lock().unwrap();
-        guard.as_ref().map(|run| CanarySnapshot {
-            candidate_version: run.candidate_version,
-            incumbent_version: run.incumbent_version,
-            candidate: run.candidate.clone(),
-            incumbent: run.incumbent.clone(),
-        })
+        guard.as_ref().map(|run| run.stats.clone())
     }
 
     /// Conclude the canary if both arms have filled the policy window:
@@ -558,7 +373,7 @@ impl Server {
     where
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
-        let mut guard = self.shared.canary.lock().unwrap();
+        let guard = self.shared.canary.lock().unwrap();
         let run = guard.as_ref()?;
         // A quarantine that landed inside the window voids the round:
         // its arm stats mix healthy and wedged traffic, so no verdict
@@ -568,22 +383,13 @@ impl Server {
         // deterministic whatever the worker interleaving.
         let interrupted = self.shared.canary_interrupted.load(Ordering::SeqCst);
         if !interrupted
-            && (run.candidate.outcomes() < run.policy.window
-                || run.incumbent.outcomes() < run.policy.window)
+            && (run.stats.candidate.outcomes() < run.policy.window
+                || run.stats.incumbent.outcomes() < run.policy.window)
         {
             return None;
         }
-        // Stop routing *before* the weights settle: batches claimed from
-        // here on go to the incumbent, and any canary batch already
-        // claimed still resolves normally (it just stops being counted).
-        let run = guard.take().expect("guarded above");
-        self.shared.canary_active.store(false, Ordering::SeqCst);
-        self.shared
-            .canary_interrupted
-            .store(false, Ordering::SeqCst);
-        drop(guard);
         let forced = interrupted.then_some(RollbackCause::ReplicaQuarantined);
-        Some(self.settle_canary(run, forced, pre_commit))
+        self.settle_canary(guard, forced, pre_commit)
     }
 
     /// Abort an active canary without a verdict: clear the slot, keep
@@ -601,39 +407,38 @@ impl Server {
     where
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
-        let mut guard = self.shared.canary.lock().unwrap();
-        let run = guard.take()?;
-        self.shared.canary_active.store(false, Ordering::SeqCst);
-        self.shared
-            .canary_interrupted
-            .store(false, Ordering::SeqCst);
-        drop(guard);
-        Some(self.settle_canary(run, Some(RollbackCause::Aborted), pre_commit))
+        let guard = self.shared.canary.lock().unwrap();
+        self.settle_canary(guard, Some(RollbackCause::Aborted), pre_commit)
     }
 
-    /// Apply the verdict (or a forced cause) to a detached run, giving
-    /// `pre_commit` the chance to journal — or veto — the decision.
+    /// Detach the active run (if any) and apply the verdict — or a forced
+    /// cause — to it, giving `pre_commit` the chance to journal or veto
+    /// the decision. Routing stops *before* the weights settle: batches
+    /// claimed from here on go to the incumbent, and any canary batch
+    /// already claimed still resolves normally (it just stops being
+    /// counted).
     fn settle_canary<F>(
         &self,
-        run: CanaryRun,
+        mut guard: MutexGuard<'_, Option<CanaryRun>>,
         forced: Option<RollbackCause>,
         pre_commit: F,
-    ) -> CanaryOutcome
+    ) -> Option<CanaryOutcome>
     where
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
-        let snapshot = CanarySnapshot {
-            candidate_version: run.candidate_version,
-            incumbent_version: run.incumbent_version,
-            candidate: run.candidate,
-            incumbent: run.incumbent,
-        };
+        let shared = &self.shared;
+        let run = guard.take()?;
+        shared.canary_active.store(false, Ordering::SeqCst);
+        shared.canary_interrupted.store(false, Ordering::SeqCst);
+        drop(guard);
+        let snapshot = run.stats;
+        let candidate_version = snapshot.candidate_version;
         let mut verdict = match forced {
             Some(cause) => Err(cause),
             None => decide(&run.policy, &snapshot),
         };
         let decision = CanaryDecision {
-            candidate_version: run.candidate_version,
+            candidate_version,
             promote: verdict.is_ok(),
             cause: verdict.as_ref().err().copied(),
         };
@@ -642,13 +447,9 @@ impl Server {
             // a crash would forget the promotion, so it must not happen.
             verdict = Err(RollbackCause::DurabilityFailed);
         }
-        match verdict {
+        Some(match verdict {
             Ok(()) => {
-                let version = self
-                    .shared
-                    .weights
-                    .promote_canary()
-                    .unwrap_or(run.candidate_version);
+                let version = shared.weights.promote_canary().unwrap_or(candidate_version);
                 dar_obs::event(ObsEvent::CandidatePromoted { version });
                 dar_obs::inc("serve.promotions");
                 CanaryOutcome {
@@ -661,20 +462,20 @@ impl Server {
             Err(cause) => {
                 // Rollback is the *absence* of a swap: drop the slot and
                 // the incumbent keeps serving, never displaced.
-                self.shared.weights.clear_canary();
+                shared.weights.clear_canary();
                 dar_obs::event(ObsEvent::CandidateRolledBack {
-                    version: run.candidate_version,
+                    version: candidate_version,
                     cause: cause.as_str().to_owned(),
                 });
                 dar_obs::inc("serve.canary_rollbacks");
                 CanaryOutcome {
-                    version: run.candidate_version,
+                    version: candidate_version,
                     phase: PromotionPhase::RolledBack,
                     cause: Some(cause),
                     snapshot,
                 }
             }
-        }
+        })
     }
 
     pub fn breaker_state(&self) -> BreakerState {
@@ -687,76 +488,79 @@ impl Server {
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        let s = self.shared.stats.lock().unwrap();
-        let mut lat = s.latencies_us.clone();
-        lat.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
-                lat[idx]
-            }
-        };
-        let mut replicas = self.shared.replica_stats.lock().unwrap().clone();
-        for (slot, r) in replicas.iter_mut().enumerate() {
-            let h = &self.shared.health[slot];
-            r.heartbeats = h.progress.load(Ordering::Relaxed);
-            r.ok_batches = h.ok_batches.load(Ordering::Relaxed);
-            r.quarantines = h.quarantines.load(Ordering::Relaxed);
-            r.hedged_away = h.hedged_away.load(Ordering::Relaxed);
-            r.health = h.state().as_str().to_owned();
-        }
+        let l = &self.shared.ledger;
+        let (p50_us, p99_us, max_us) = l.latency_percentiles();
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         StatsSnapshot {
-            served_full: s.served_full,
-            served_degraded: s.served_degraded,
-            rejected: s.rejected,
-            queue_full: s.queue_full,
-            shed: s.shed,
-            deadline_exceeded: s.deadline_exceeded,
-            throttled: s.throttled,
-            steals: s.steals,
-            stolen_requests: s.stolen_requests,
-            panics: s.panics,
-            stalls: s.stalls,
-            quarantines: s.quarantines,
-            rejoins: s.rejoins,
-            hedged: s.hedged,
-            abandoned: s.abandoned,
-            p50_us: pct(0.5),
-            p99_us: pct(0.99),
-            max_us: lat.last().copied().unwrap_or(0),
+            submitted: l.get(Count::Submitted),
+            served_full: l.get(Count::ServedFull),
+            served_degraded: l.get(Count::ServedDegraded),
+            rejected: l.get(Count::Rejected),
+            queue_full: l.get(Count::QueueFull),
+            shed: l.get(Count::Shed),
+            deadline_exceeded: l.get(Count::DeadlineExceeded),
+            throttled: l.get(Count::Throttled),
+            worker_panicked: l.get(Count::WorkerPanicked),
+            shutdown: l.get(Count::Shutdown),
+            steals: l.get(Count::Steals),
+            stolen_requests: l.get(Count::StolenRequests),
+            panics: l.get(Count::Panics),
+            stalls: l.get(Count::Stalls),
+            quarantines: l.get(Count::Quarantines),
+            rejoins: l.get(Count::Rejoins),
+            hedged: l.get(Count::Hedged),
+            abandoned: l.get(Count::Abandoned),
+            p50_us,
+            p99_us,
+            max_us,
             weights_version: self.shared.weights.version(),
-            replicas,
+            replicas: l
+                .replicas
+                .iter()
+                .map(|h| ReplicaStats {
+                    served: load(&h.served),
+                    steals: load(&h.steals),
+                    stolen_requests: load(&h.stolen_requests),
+                    heartbeats: load(&h.progress),
+                    ok_batches: load(&h.ok_batches),
+                    quarantines: load(&h.quarantines),
+                    hedged_away: load(&h.hedged_away),
+                    health: h.state().as_str().to_owned(),
+                })
+                .collect(),
         }
     }
 
     /// Current health state of every replica slot.
     pub fn health_states(&self) -> Vec<HealthState> {
-        self.shared.health.iter().map(|h| h.state()).collect()
+        self.shared
+            .ledger
+            .replicas
+            .iter()
+            .map(|h| h.state())
+            .collect()
     }
 
     /// Bitmask of currently quarantined slots (bit `s` = slot `s`).
     /// Zero in steady state — and zero again after every rejoin, which
     /// is what restores original routing.
     pub fn quarantined_mask(&self) -> u64 {
-        self.shared.quarantined_mask.load(Ordering::SeqCst)
+        self.shared.core().quarantined()
     }
 
-    /// Stop accepting, fail queued requests with `Shutdown`, join every
-    /// worker and the supervisor. Idempotent via `Drop`.
+    /// Stop accepting, answer queued requests `Shutdown`, let in-flight
+    /// batches finish, and join every worker and the supervisor.
+    /// Idempotent via `Drop`.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shutdown_inner();
         self.stats()
     }
 
     fn shutdown_inner(&mut self) {
-        for shard in &self.shared.shards {
-            shard.queue.lock().unwrap().accepting = false;
-        }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for shard in &self.shared.shards {
-            shard.notify.notify_all();
+        let queued = self.shared.core().shutdown();
+        self.shared.ledger.fail_all(queued);
+        for wake in &self.shared.wake {
+            wake.notify_all();
         }
         if let Some(h) = self.supervisor.take() {
             let _ = h.join();
@@ -767,1107 +571,5 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_inner();
-    }
-}
-
-fn spawn_worker(
-    shared: Arc<Shared>,
-    factory: ModelFactory,
-    slot: usize,
-    gen: u64,
-    death_tx: mpsc::Sender<(usize, u64)>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("dar-serve-worker-{slot}"))
-        .spawn(move || worker_loop(shared, factory, slot, gen, death_tx))
-        .expect("spawning dar-serve worker")
-}
-
-/// Is `gen` still the authorized worker for `slot`? A `false` means the
-/// watchdog quarantined this thread: it is a zombie and must stop
-/// touching shared request state immediately.
-fn superseded(shared: &Shared, slot: usize, gen: u64) -> bool {
-    shared.worker_gen[slot].load(Ordering::SeqCst) != gen
-}
-
-/// A zombie worker answering requests it claimed before learning it was
-/// superseded (claimed from the queue, not yet parked — the one window
-/// the supervisor's drain cannot reach). Expired ones get the deadline
-/// verdict; the rest are abandoned: the zombie must not run inference
-/// for them (its replica is condemned) and must not re-enqueue (it races
-/// the drain). Never `Lost`.
-fn orphan_respond(shared: &Shared, claimed: Vec<Pending>) {
-    if claimed.is_empty() {
-        return;
-    }
-    let now = Instant::now();
-    let (expired, live): (Vec<_>, Vec<_>) = claimed.into_iter().partition(|p| p.expired(now));
-    respond_expired(shared, expired);
-    if !live.is_empty() {
-        let mut s = shared.stats.lock().unwrap();
-        s.abandoned += live.len() as u64;
-        drop(s);
-        dar_obs::add("serve.abandoned", live.len() as u64);
-        for p in live {
-            p.respond(Err(ServeError::Abandoned));
-        }
-    }
-}
-
-/// One claimed micro-batch, with its canary arm and (if stolen) the
-/// shard it came from.
-struct Claim {
-    claimed: Vec<Pending>,
-    to_canary: bool,
-}
-
-/// Pop every expired request out of `q`, preserving the order of the
-/// rest. Respond outside the queue lock via [`respond_expired`].
-fn take_expired(q: &mut QueueState) -> Vec<Pending> {
-    let now = Instant::now();
-    let mut expired = Vec::new();
-    let items = std::mem::take(&mut q.items);
-    for p in items {
-        if p.expired(now) {
-            expired.push(p);
-        } else {
-            q.items.push_back(p);
-        }
-    }
-    expired
-}
-
-/// Expired requests get their verdict without costing inference.
-fn respond_expired(shared: &Shared, expired: Vec<Pending>) {
-    if expired.is_empty() {
-        return;
-    }
-    let mut s = shared.stats.lock().unwrap();
-    s.deadline_exceeded += expired.len() as u64;
-    drop(s);
-    dar_obs::add("serve.deadline_exceeded", expired.len() as u64);
-    for p in expired {
-        p.respond(Err(ServeError::DeadlineExceeded));
-    }
-}
-
-/// The active canary's slice modulus (0 when no canary is routing).
-fn canary_modulus(shared: &Shared) -> u64 {
-    if shared.canary_active.load(Ordering::SeqCst) {
-        shared
-            .canary
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|run| run.policy.slice_modulus)
-            .unwrap_or(0)
-    } else {
-        0
-    }
-}
-
-/// Claim up to `n` requests from the queue front. While a canary is
-/// active a batch is *pure-route*: it takes the front request's arm and
-/// claims only same-arm requests (preserving queue order of the rest),
-/// so one batch never mixes weight generations — including batches
-/// claimed by a thief from a sibling shard.
-fn claim_arm_pure(q: &mut QueueState, n: usize, modulus: u64) -> (Vec<Pending>, bool) {
-    if modulus < 2 {
-        return (q.items.drain(..n).collect(), false);
-    }
-    let to_canary = routes_to_canary(q.items[0].seq, modulus);
-    let mut claimed = Vec::with_capacity(n);
-    let mut rest = VecDeque::with_capacity(q.items.len());
-    for p in q.items.drain(..) {
-        if claimed.len() < n && routes_to_canary(p.seq, modulus) == to_canary {
-            claimed.push(p);
-        } else {
-            rest.push_back(p);
-        }
-    }
-    q.items = rest;
-    (claimed, to_canary)
-}
-
-/// Steal one whole micro-batch from the longest sibling shard whose
-/// backlog clears the policy threshold. Locks one queue at a time (never
-/// two), so stealing cannot deadlock with submits or other thieves.
-/// While scanning, expired requests found in *any* sibling are answered
-/// — a shard whose home replica is down (dead, mid-backoff) still
-/// resolves its deadline storms through its idle siblings.
-fn try_steal(shared: &Shared, thief: usize, cap: usize) -> Option<Claim> {
-    if !shared.cfg.steal.enabled || shared.shards.len() < 2 {
-        return None;
-    }
-    let threshold = shared.cfg.steal_threshold();
-    let mut best: Option<(usize, usize)> = None;
-    for victim in 0..shared.shards.len() {
-        if victim == thief {
-            continue;
-        }
-        let mut q = shared.shards[victim].queue.lock().unwrap();
-        let expired = take_expired(&mut q);
-        let len = q.items.len();
-        drop(q);
-        respond_expired(shared, expired);
-        if len >= threshold && best.is_none_or(|(_, l)| len > l) {
-            best = Some((victim, len));
-        }
-    }
-    let (victim, _) = best?;
-    let mut q = shared.shards[victim].queue.lock().unwrap();
-    if q.items.len() < threshold {
-        return None; // raced: the home replica (or another thief) got there first
-    }
-    let n = q.items.len().min(cap.max(1));
-    let modulus = canary_modulus(shared);
-    let (claimed, to_canary) = claim_arm_pure(&mut q, n, modulus);
-    drop(q);
-    if claimed.is_empty() {
-        return None;
-    }
-    let n = claimed.len() as u64;
-    {
-        let mut s = shared.stats.lock().unwrap();
-        s.steals += 1;
-        s.stolen_requests += n;
-    }
-    {
-        let mut rs = shared.replica_stats.lock().unwrap();
-        rs[thief].steals += 1;
-        rs[thief].stolen_requests += n;
-    }
-    dar_obs::inc("serve.steals");
-    dar_obs::add("serve.stolen_requests", n);
-    dar_obs::event(ObsEvent::ReplicaSteal {
-        thief: thief as u64,
-        victim: victim as u64,
-        n,
-    });
-    Some(Claim { claimed, to_canary })
-}
-
-/// Claim the next micro-batch for replica `slot`: from its own shard
-/// (after sweeping expired requests, lingering for occupancy), or stolen
-/// from the longest sibling backlog when its own shard is empty. Stolen
-/// batches skip the linger — they exist to relieve backlog, not to wait
-/// for more of it. `None` means shutdown.
-fn claim_batch(shared: &Shared, slot: usize, gen: u64, cap: usize) -> Option<Claim> {
-    let cfg = &shared.cfg;
-    let shard = &shared.shards[slot];
-    let mut q = shard.queue.lock().unwrap();
-    loop {
-        // Zombie check first — before the shutdown drain, so a
-        // quarantined worker can never drain a queue that now belongs to
-        // its replacement. Pass the wakeup on in case the condvar woke
-        // the zombie instead of the live worker.
-        if superseded(shared, slot, gen) {
-            drop(q);
-            shard.notify.notify_one();
-            return None;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Drain this replica's own shard with a terminal verdict;
-            // the supervisor's final sweep covers shards whose replica
-            // is already gone.
-            let leftovers: Vec<Pending> = q.items.drain(..).collect();
-            drop(q);
-            for p in leftovers {
-                p.respond(Err(ServeError::Shutdown));
-            }
-            return None;
-        }
-
-        let expired = take_expired(&mut q);
-        if !expired.is_empty() {
-            drop(q);
-            respond_expired(shared, expired);
-            q = shard.queue.lock().unwrap();
-            continue;
-        }
-
-        if q.items.is_empty() {
-            drop(q);
-            if let Some(claim) = try_steal(shared, slot, cap) {
-                return Some(claim);
-            }
-            q = shard.queue.lock().unwrap();
-            if q.items.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                let (qq, _) = shard
-                    .notify
-                    .wait_timeout(q, Duration::from_millis(20))
-                    .unwrap();
-                q = qq;
-            }
-            continue;
-        }
-
-        // Linger for a fuller batch, but never past any queued deadline.
-        if q.items.len() < cap && !cfg.linger.is_zero() {
-            let linger_until = Instant::now() + cfg.linger;
-            let earliest = q.items.iter().map(|p| p.deadline).min().unwrap();
-            let stop = linger_until.min(earliest);
-            while q.items.len() < cap {
-                let now = Instant::now();
-                if now >= stop || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let (qq, _) = shard.notify.wait_timeout(q, stop - now).unwrap();
-                q = qq;
-            }
-        }
-
-        // The linger wait releases the lock, so a thief may have drained
-        // the shard; an empty claim just loops in the caller.
-        let n = q.items.len().min(cap);
-        if n == 0 {
-            return Some(Claim {
-                claimed: Vec::new(),
-                to_canary: false,
-            });
-        }
-        let modulus = canary_modulus(shared);
-        let (claimed, to_canary) = claim_arm_pure(&mut q, n, modulus);
-        return Some(Claim { claimed, to_canary });
-    }
-}
-
-/// Record one answered canary-era request into its arm. A no-op when no
-/// canary is active (the clean serve path stays byte-identical in the
-/// deterministic obs section).
-fn record_canary_output(
-    shared: &Shared,
-    to_canary: bool,
-    review: &Review,
-    out: &ServeOutput,
-    tainted: bool,
-    latency_us: u64,
-) {
-    if !shared.canary_active.load(Ordering::SeqCst) {
-        return;
-    }
-    if let Some(run) = shared.canary.lock().unwrap().as_mut() {
-        let arm = if to_canary {
-            &mut run.candidate
-        } else {
-            &mut run.incumbent
-        };
-        arm.record_output(review, out, tainted, latency_us);
-    }
-}
-
-/// Record a batch of typed failures / panic victims into an arm, so a
-/// candidate that only ever errors still fills its verdict window.
-fn record_canary_errors(shared: &Shared, to_canary: bool, n: u64, tainted: bool) {
-    if n == 0 || !shared.canary_active.load(Ordering::SeqCst) {
-        return;
-    }
-    if let Some(run) = shared.canary.lock().unwrap().as_mut() {
-        let arm = if to_canary {
-            &mut run.candidate
-        } else {
-            &mut run.incumbent
-        };
-        arm.record_error(n, tainted);
-    }
-}
-
-/// Assemble claimed requests into a `Batch`. On failure every request is
-/// answered `Rejected` (should not happen post-admission; belt and
-/// braces) and `None` is returned.
-fn assemble(shared: &Shared, claimed: Vec<Pending>) -> Option<(Vec<Pending>, Batch)> {
-    let refs: Vec<&Review> = claimed.iter().map(|p| &p.review).collect();
-    match Batch::from_reviews_bounded(&refs, shared.cfg.vocab_size, shared.cfg.max_len) {
-        Ok(batch) => Some((claimed, batch)),
-        Err(e) => {
-            let mut s = shared.stats.lock().unwrap();
-            s.rejected += claimed.len() as u64;
-            drop(s);
-            dar_obs::add("serve.rejected", claimed.len() as u64);
-            let msg = e.to_string();
-            for p in claimed {
-                p.respond(Err(ServeError::Rejected(
-                    dar_tensor::DarError::InvalidData(msg.clone()),
-                )));
-            }
-            None
-        }
-    }
-}
-
-/// Outputs for a full-path batch: per-row label + rationale. Falls back
-/// to the predictor path row-set-wide if the selector collapsed.
-fn run_full(
-    shared: &Shared,
-    model: &dyn RationaleModel,
-    batch: &Batch,
-    version: u64,
-) -> Result<(Vec<ServeOutput>, bool), ServeError> {
-    let inf = no_grad(|| model.infer(batch));
-    // Selected fraction over real tokens — the breaker's collapse signal.
-    let mut selected = 0usize;
-    let mut total = 0usize;
-    for (i, &len) in batch.lengths.iter().enumerate() {
-        selected += inf.masks[i][..len].iter().filter(|&&v| v > 0.5).count();
-        total += len;
-    }
-    let frac = selected as f32 / total.max(1) as f32;
-    let collapsed = shared
-        .breaker
-        .lock()
-        .unwrap()
-        .policy()
-        .collapse
-        .is_collapsed(frac);
-    if collapsed {
-        // The selector degenerated: answer this batch from the full-text
-        // path rather than shipping an empty/total "rationale".
-        let outs = run_predictor(model, batch, version)?;
-        return Ok((outs, true));
-    }
-    let logits = inf
-        .logits
-        .or(inf.full_logits)
-        .ok_or(ServeError::DegradedUnavailable)?;
-    if logits.to_vec().iter().any(|v| !v.is_finite()) {
-        // Numerically poisoned scores: answer from the predictor path and
-        // let the caller report a generator failure (with taint origin).
-        let outs = run_predictor(model, batch, version)?;
-        return Ok((outs, true));
-    }
-    let labels = logits.argmax_rows();
-    let outs = batch
-        .lengths
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| ServeOutput {
-            label: labels[i],
-            rationale: inf.masks[i][..len].iter().map(|&v| v > 0.5).collect(),
-            degraded: false,
-            weights_version: version,
-        })
-        .collect();
-    Ok((outs, false))
-}
-
-/// Outputs for a predictor-only batch: label from the full-text path, no
-/// rationale.
-fn run_predictor(
-    model: &dyn RationaleModel,
-    batch: &Batch,
-    version: u64,
-) -> Result<Vec<ServeOutput>, ServeError> {
-    let logits =
-        no_grad(|| model.predict_full_text(batch)).ok_or(ServeError::DegradedUnavailable)?;
-    let labels = logits.argmax_rows();
-    Ok(batch
-        .lengths
-        .iter()
-        .enumerate()
-        .map(|(i, _)| ServeOutput {
-            label: labels[i],
-            rationale: Vec::new(),
-            degraded: true,
-            weights_version: version,
-        })
-        .collect())
-}
-
-/// Take this worker's parked in-flight batch back — but only if it still
-/// owns it. `None` means the supervisor drained the slot (quarantine):
-/// the victims were already answered, and this thread must discard
-/// whatever it computed and exit.
-fn take_owned(shared: &Shared, slot: usize, gen: u64) -> Option<Vec<(Pending, Instant)>> {
-    let mut g = shared.inflight.lock().unwrap();
-    let s = &mut g[slot];
-    if s.owner_gen != gen {
-        return None;
-    }
-    s.owner_gen = 0;
-    Some(std::mem::take(&mut s.items))
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    factory: ModelFactory,
-    slot: usize,
-    gen: u64,
-    death_tx: mpsc::Sender<(usize, u64)>,
-) {
-    let _death = DeathNotice {
-        slot,
-        gen,
-        tx: death_tx,
-    };
-    let mut model: Box<dyn RationaleModel> = factory();
-    let mut version = 0u64;
-
-    loop {
-        let cap = shared
-            .breaker
-            .lock()
-            .unwrap()
-            .batch_cap(shared.cfg.max_batch);
-        let Some(Claim { claimed, to_canary }) = claim_batch(&shared, slot, gen, cap) else {
-            return; // shutdown, or this worker was quarantined away
-        };
-        if claimed.is_empty() {
-            continue;
-        }
-        // Heartbeat: claim boundary.
-        shared.health[slot].beat();
-        // The plan is read *after* claiming: claim_batch may have blocked
-        // through a breaker transition, and requests must be served by
-        // the mode in force now, not the one when the worker went idle.
-        // (The cap above may be stale in the same way; a probe batch
-        // larger than 1 is acceptable, a stale path decision is not.)
-        let plan = shared.breaker.lock().unwrap().plan_batch();
-
-        if matches!(plan, BatchPlan::Shed) {
-            // Breaker opened while these were queued.
-            let mut b = shared.breaker.lock().unwrap();
-            for _ in &claimed {
-                b.on_shed();
-            }
-            drop(b);
-            shared.stats.lock().unwrap().shed += claimed.len() as u64;
-            for p in claimed {
-                p.respond(Err(ServeError::Shed));
-            }
-            continue;
-        }
-
-        // Per-replica span around the whole batch (timing section only —
-        // never part of the byte-compared deterministic section).
-        let _rspan = dar_obs::span(replica_span(slot));
-
-        // The queue wait spans two threads (submit → claim), so it is
-        // recorded as an external duration rather than a scoped span.
-        let claim_time = Instant::now();
-        for p in &claimed {
-            dar_obs::record_micros(
-                "serve/queue_wait",
-                claim_time
-                    .saturating_duration_since(p.submitted)
-                    .as_micros() as u64,
-            );
-        }
-
-        let assembled = {
-            let _span = dar_obs::span("serve_assemble");
-            assemble(&shared, claimed)
-        };
-        let Some((claimed, batch)) = assembled else {
-            continue;
-        };
-
-        // Between-batch weight sync: the only place a swap is observed.
-        // The steady state is a single lock-free version-hint check
-        // (`refresh`). A canary batch targets the canary slot (falling
-        // back to the incumbent if the slot was cleared after the claim
-        // — the request still resolves, just on the incumbent). An apply
-        // failure leaves the replica on its old weights; the store never
-        // publishes a shape-mismatched set for a healthy factory, so
-        // that branch is unreachable in practice.
-        let sync = if to_canary {
-            Some(
-                shared
-                    .weights
-                    .canary()
-                    .unwrap_or_else(|| shared.weights.current()),
-            )
-        } else {
-            shared.weights.refresh(version)
-        };
-        if let Some(w) = sync {
-            if w.version != version && w.apply(&model.params()).is_ok() {
-                version = w.version;
-            }
-        }
-
-        // Park the requests where the supervisor can reach them if this
-        // thread dies mid-inference. Generation-checked under the same
-        // lock the supervisor drains with: a worker quarantined between
-        // claim and park answers its claimed requests itself (they are
-        // the one thing the drain cannot see) and exits.
-        let born = Instant::now();
-        {
-            let mut g = shared.inflight.lock().unwrap();
-            if superseded(&shared, slot, gen) {
-                drop(g);
-                orphan_respond(&shared, claimed);
-                return;
-            }
-            g[slot] = InflightSlot {
-                owner_gen: gen,
-                items: claimed.into_iter().map(|p| (p, born)).collect(),
-            };
-        }
-        // Heartbeat: batch-park boundary.
-        shared.health[slot].beat();
-
-        let probe = matches!(plan, BatchPlan::Full { probe: true });
-        // Per-batch taint latch: anything recorded during this inference
-        // was produced by this batch's ops (tensors are built on this
-        // thread, so the thread-local latch sees every node).
-        if dar_tensor::taint_enabled() {
-            dar_tensor::clear_taint();
-        }
-        let outcome = {
-            let _span = dar_obs::span("serve_infer");
-            catch_unwind(AssertUnwindSafe(|| match plan {
-                BatchPlan::Full { .. } => run_full(&shared, model.as_ref(), &batch, version),
-                BatchPlan::PredictorOnly => {
-                    run_predictor(model.as_ref(), &batch, version).map(|outs| (outs, true))
-                }
-                BatchPlan::Shed => unreachable!("shed handled before assembly"),
-            }))
-        };
-
-        // Whatever the outcome, the latch now names the op that first went
-        // non-finite during this batch (None if nothing did).
-        let origin = dar_tensor::first_taint().map(|t| t.op);
-        match outcome {
-            Ok(Ok((outs, degraded))) => {
-                let _span = dar_obs::span("serve_respond");
-                let Some(inflight) = take_owned(&shared, slot, gen) else {
-                    // Quarantined mid-inference: the supervisor already
-                    // answered these victims. Discard the late outputs
-                    // (responding would double-dispatch) and exit — this
-                    // thread is disowned, its breaker opinion included.
-                    return;
-                };
-                {
-                    let mut b = shared.breaker.lock().unwrap();
-                    match plan {
-                        BatchPlan::Full { .. } if degraded => b.on_full_failure_with(probe, origin),
-                        BatchPlan::Full { .. } => b.on_full_success(probe),
-                        BatchPlan::PredictorOnly => b.on_degraded_success(),
-                        BatchPlan::Shed => unreachable!(),
-                    }
-                }
-                for ((p, born), out) in inflight.into_iter().zip(outs) {
-                    shared.record_success(slot, born, out.degraded);
-                    record_canary_output(
-                        &shared,
-                        to_canary,
-                        &p.review,
-                        &out,
-                        origin.is_some(),
-                        p.submitted.elapsed().as_micros() as u64,
-                    );
-                    p.respond(Ok(out));
-                }
-                // Heartbeat: respond boundary; a fully answered batch is
-                // also a probation probe.
-                shared.health[slot].beat();
-                shared.health[slot]
-                    .ok_batches
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Err(err)) => {
-                // Typed failure (no full-text path): the whole batch gets
-                // the same verdict and the breaker hears about it.
-                let Some(inflight) = take_owned(&shared, slot, gen) else {
-                    return;
-                };
-                record_canary_errors(&shared, to_canary, inflight.len() as u64, origin.is_some());
-                {
-                    let mut b = shared.breaker.lock().unwrap();
-                    match plan {
-                        BatchPlan::Full { .. } => b.on_full_failure_with(probe, origin),
-                        BatchPlan::PredictorOnly => b.on_degraded_failure(),
-                        BatchPlan::Shed => unreachable!(),
-                    }
-                }
-                let msg = err.to_string();
-                for (p, _) in inflight {
-                    p.respond(Err(ServeError::Rejected(
-                        dar_tensor::DarError::InvalidData(msg.clone()),
-                    )));
-                }
-                // Heartbeat: a typed failure is still forward progress.
-                shared.health[slot].beat();
-            }
-            Err(payload) => {
-                shared.stats.lock().unwrap().panics += 1;
-                dar_obs::inc("serve.panics");
-                {
-                    let mut b = shared.breaker.lock().unwrap();
-                    match plan {
-                        BatchPlan::Full { .. } => b.on_full_failure_with(probe, origin),
-                        BatchPlan::PredictorOnly => b.on_degraded_failure(),
-                        BatchPlan::Shed => unreachable!(),
-                    }
-                }
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                let lethal = shared
-                    .cfg
-                    .lethal_panic_marker
-                    .as_deref()
-                    .is_some_and(|m| msg.contains(m));
-                if lethal {
-                    // Die for real: the in-flight slot stays populated for
-                    // the supervisor to drain, and DeathNotice fires.
-                    resume_unwind(payload);
-                }
-                // Soft recovery: answer the victims, rebuild the replica
-                // in place (the model may be mid-panic inconsistent).
-                let Some(inflight) = take_owned(&shared, slot, gen) else {
-                    return;
-                };
-                record_canary_errors(&shared, to_canary, inflight.len() as u64, origin.is_some());
-                for (p, _) in inflight {
-                    p.respond(Err(ServeError::WorkerPanicked));
-                }
-                // Heartbeat: the worker survived and is rebuilding —
-                // wedged it is not.
-                shared.health[slot].beat();
-                model = factory();
-                version = 0; // force a weight re-sync next batch
-            }
-        }
-    }
-}
-
-/// Give every request force-drained off quarantined replica `from`
-/// exactly one typed outcome: the deadline verdict when its budget is
-/// gone, a hedged re-dispatch onto a healthy sibling when budget remains
-/// (one hedge per request), `Abandoned` otherwise. Never `Lost`.
-fn resolve_stranded(shared: &Shared, from: usize, stranded: Vec<Pending>) {
-    let pol = &shared.cfg.health;
-    let n_shards = shared.shards.len();
-    for mut p in stranded {
-        let now = Instant::now();
-        let mask = shared.quarantined_mask.load(Ordering::SeqCst);
-        let target = route_tenant_healthy(p.tenant, n_shards, mask);
-        let target_quarantined = target < 64 && mask & (1u64 << target) != 0;
-        let has_target = target != from && !target_quarantined;
-        let remaining = p.deadline.checked_duration_since(now);
-        match drain_verdict(remaining, p.hedged, has_target, pol) {
-            DrainFate::Expired => respond_expired(shared, vec![p]),
-            DrainFate::Hedge => {
-                p.hedged = true;
-                // Re-enqueue on the healthy sibling, past queue_cap and
-                // fair-share: a displaced victim is not a new arrival,
-                // and dropping it to enforce an admission limit would
-                // punish it twice.
-                let shard = &shared.shards[target];
-                let mut q = shard.queue.lock().unwrap();
-                if !q.accepting {
-                    drop(q);
-                    p.respond(Err(ServeError::Shutdown));
-                    continue;
-                }
-                q.items.push_back(p);
-                drop(q);
-                shard.notify.notify_one();
-                shared.stats.lock().unwrap().hedged += 1;
-                shared.health[from]
-                    .hedged_away
-                    .fetch_add(1, Ordering::Relaxed);
-                dar_obs::inc("serve.hedged_requests");
-                dar_obs::event(ObsEvent::RequestHedged {
-                    from: from as u64,
-                    to: target as u64,
-                });
-            }
-            DrainFate::Abandon => {
-                shared.stats.lock().unwrap().abandoned += 1;
-                dar_obs::inc("serve.abandoned");
-                p.respond(Err(ServeError::Abandoned));
-            }
-        }
-    }
-}
-
-/// Supervisor-local per-slot watchdog bookkeeping. The shared, worker-
-/// visible side lives in [`HealthSlot`]; this is the supervisor's view
-/// of each slot's heartbeat history and pending transitions.
-struct SlotWatch {
-    /// Last progress-counter value the watchdog observed.
-    last_counter: u64,
-    /// When the counter last moved (or the replica was last idle).
-    last_progress_at: Instant,
-    /// A stall episode is open (`replica_stalled` already emitted).
-    suspect: bool,
-    /// Probation probes still owed before rejoin (0 = not probing).
-    probes_pending: u64,
-    /// `ok_batches` reading when probation began.
-    probation_base: u64,
-    /// Scheduled respawn (death backoff or quarantine backoff).
-    respawn_at: Option<Instant>,
-    /// The pending respawn rejoins through probation (quarantine path)
-    /// instead of directly (plain-death path, pre-§16 behavior).
-    respawn_probation: bool,
-}
-
-fn supervisor_loop(
-    shared: Arc<Shared>,
-    factory: ModelFactory,
-    death_rx: mpsc::Receiver<(usize, u64)>,
-    death_tx: mpsc::Sender<(usize, u64)>,
-    mut handles: Vec<Option<JoinHandle<()>>>,
-) {
-    let n = handles.len();
-    let drain_slot = |slot: usize| {
-        let victims = {
-            let mut g = shared.inflight.lock().unwrap();
-            let s = &mut g[slot];
-            s.owner_gen = 0;
-            std::mem::take(&mut s.items)
-        };
-        for (p, _) in victims {
-            p.respond(Err(ServeError::WorkerPanicked));
-        }
-    };
-
-    // Respawn pacing (per slot): attempts since the last quiet period
-    // drive a bounded exponential backoff, so a crash-looping replica
-    // cannot spin the supervisor while healthy slots keep serving. The
-    // backoff is a *scheduled* respawn, not a sleep — the poll loop
-    // stays live as the watchdog tick and deadline sweep for every
-    // other slot.
-    let mut attempts: Vec<u32> = vec![0; n];
-    let mut last_death: Vec<Option<Instant>> = vec![None; n];
-    let start = Instant::now();
-    let mut watch: Vec<SlotWatch> = (0..n)
-        .map(|_| SlotWatch {
-            last_counter: 0,
-            last_progress_at: start,
-            suspect: false,
-            probes_pending: 0,
-            probation_base: 0,
-            respawn_at: None,
-            respawn_probation: false,
-        })
-        .collect();
-
-    loop {
-        match death_rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((slot, gen)) => {
-                // A stale generation is a quarantined zombie finally
-                // unwinding: its requests were drained at quarantine and
-                // its slot belongs to a successor — nothing to do.
-                if gen == shared.worker_gen[slot].load(Ordering::SeqCst) {
-                    if let Some(h) = handles[slot].take() {
-                        let _ = h.join(); // collect the corpse (ignore payload)
-                    }
-                    shared.worker_gen[slot].store(0, Ordering::SeqCst);
-                    drain_slot(slot);
-                    if !shared.shutdown.load(Ordering::SeqCst) {
-                        let now = Instant::now();
-                        let pol = &shared.cfg.respawn;
-                        if last_death[slot]
-                            .is_some_and(|prev| now.duration_since(prev) > pol.reset_after)
-                        {
-                            attempts[slot] = 0;
-                        }
-                        last_death[slot] = Some(now);
-                        attempts[slot] += 1;
-                        let delay = respawn_delay(pol, slot, attempts[slot]);
-                        dar_obs::event(ObsEvent::RespawnBackoff {
-                            slot: slot as u64,
-                            attempt: attempts[slot] as u64,
-                            delay_ms: delay.as_millis() as u64,
-                        });
-                        dar_obs::inc("serve.respawn_backoffs");
-                        watch[slot].respawn_at = Some(now + delay);
-                        watch[slot].respawn_probation = false;
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-
-        let now = Instant::now();
-
-        // Deadline sweep, every tick, every shard, regardless of the
-        // health switch: a queue whose backlog sits at or below the
-        // steal threshold is invisible to thieves, so if its home
-        // replica is wedged (or mid-backoff) its expired requests used
-        // to wait for an owner that never came. The supervisor owes
-        // them their verdict independent of work stealing.
-        for shard in &shared.shards {
-            let expired = {
-                let mut q = shard.queue.lock().unwrap();
-                take_expired(&mut q)
-            };
-            respond_expired(&shared, expired);
-        }
-
-        // Quarantined shards keep force-draining every tick: requests
-        // that raced the routing mask (submitted before the bit was
-        // set) still get their typed outcome promptly, not at respawn.
-        for slot in 0..n.min(64) {
-            if shared.quarantined_mask.load(Ordering::SeqCst) & (1u64 << slot) != 0 {
-                let stranded: Vec<Pending> = {
-                    let mut q = shared.shards[slot].queue.lock().unwrap();
-                    q.items.drain(..).collect()
-                };
-                resolve_stranded(&shared, slot, stranded);
-            }
-        }
-
-        // Scheduled respawns that have served their backoff.
-        for slot in 0..n {
-            if watch[slot].respawn_at.is_none_or(|due| now < due) {
-                continue;
-            }
-            let gen = shared.next_gen.fetch_add(1, Ordering::SeqCst);
-            shared.worker_gen[slot].store(gen, Ordering::SeqCst);
-            handles[slot] = Some(spawn_worker(
-                Arc::clone(&shared),
-                Arc::clone(&factory),
-                slot,
-                gen,
-                death_tx.clone(),
-            ));
-            let h = &shared.health[slot];
-            let w = &mut watch[slot];
-            w.respawn_at = None;
-            w.last_counter = h.progress.load(Ordering::Relaxed);
-            w.last_progress_at = now;
-            w.suspect = false;
-            if w.respawn_probation {
-                w.respawn_probation = false;
-                w.probation_base = h.ok_batches.load(Ordering::Relaxed);
-                w.probes_pending = shared.cfg.health.probation_probes;
-                // Lift the routing detour now — probation probes *are*
-                // real traffic, so the shard must be routable again.
-                if slot < 64 {
-                    shared
-                        .quarantined_mask
-                        .fetch_and(!(1u64 << slot), Ordering::SeqCst);
-                }
-                if w.probes_pending == 0 {
-                    h.set_state(HealthState::Healthy);
-                    shared.stats.lock().unwrap().rejoins += 1;
-                    dar_obs::inc("serve.rejoins");
-                    dar_obs::event(ObsEvent::ReplicaRejoined { slot: slot as u64 });
-                } else {
-                    h.set_state(HealthState::Probation);
-                }
-            } else {
-                h.set_state(HealthState::Healthy);
-            }
-        }
-
-        // The watchdog tick proper.
-        if shared.cfg.health.enabled {
-            let pol = shared.cfg.health.clone();
-            for slot in 0..n.min(64) {
-                if handles[slot].is_none() {
-                    continue; // no worker: dead or quarantined, respawn pending
-                }
-                let h = &shared.health[slot];
-                let w = &mut watch[slot];
-
-                // Probation: enough successful batches since respawn
-                // completes the rejoin.
-                if w.probes_pending > 0 {
-                    let probes = h
-                        .ok_batches
-                        .load(Ordering::Relaxed)
-                        .saturating_sub(w.probation_base);
-                    if probes >= w.probes_pending {
-                        w.probes_pending = 0;
-                        h.set_state(HealthState::Healthy);
-                        shared.stats.lock().unwrap().rejoins += 1;
-                        dar_obs::inc("serve.rejoins");
-                        dar_obs::event(ObsEvent::ReplicaRejoined { slot: slot as u64 });
-                    }
-                }
-
-                let cur = h.progress.load(Ordering::Relaxed);
-                if cur != w.last_counter {
-                    // Progress: reset the stall clock, close any episode.
-                    w.last_counter = cur;
-                    w.last_progress_at = now;
-                    if w.suspect {
-                        w.suspect = false;
-                        h.set_state(if w.probes_pending > 0 {
-                            HealthState::Probation
-                        } else {
-                            HealthState::Healthy
-                        });
-                    }
-                    continue;
-                }
-
-                // Silent — but only silence *while holding work* counts:
-                // an idle replica has nothing to heartbeat about.
-                let queued = !shared.shards[slot].queue.lock().unwrap().items.is_empty();
-                let latest_deadline = {
-                    let g = shared.inflight.lock().unwrap();
-                    g[slot].items.iter().map(|(p, _)| p.deadline).max()
-                };
-                if !queued && latest_deadline.is_none() {
-                    w.last_progress_at = now;
-                    if w.suspect {
-                        w.suspect = false;
-                        h.set_state(if w.probes_pending > 0 {
-                            HealthState::Probation
-                        } else {
-                            HealthState::Healthy
-                        });
-                    }
-                    continue;
-                }
-
-                let verdict = classify_stall(now, w.last_progress_at, latest_deadline, &pol);
-                if verdict == StallVerdict::Fine {
-                    continue;
-                }
-                if !w.suspect {
-                    // Healthy → Suspect (also on the way to quarantine,
-                    // so the journal always shows the full walk).
-                    w.suspect = true;
-                    h.set_state(HealthState::Suspect);
-                    shared.stats.lock().unwrap().stalls += 1;
-                    dar_obs::inc("serve.replica_stalls");
-                    dar_obs::event(ObsEvent::ReplicaStalled { slot: slot as u64 });
-                }
-                if verdict != StallVerdict::Quarantine {
-                    continue;
-                }
-
-                // Suspect → Quarantined: revoke the generation (the
-                // wedged thread becomes a zombie), detour routing, drop
-                // the handle (it may never unwind — abandon, not join),
-                // and give every stranded request its typed outcome.
-                w.suspect = false;
-                h.set_state(HealthState::Quarantined);
-                h.quarantines.fetch_add(1, Ordering::Relaxed);
-                shared.stats.lock().unwrap().quarantines += 1;
-                dar_obs::inc("serve.quarantines");
-                dar_obs::event(ObsEvent::ReplicaQuarantined { slot: slot as u64 });
-                shared
-                    .quarantined_mask
-                    .fetch_or(1u64 << slot, Ordering::SeqCst);
-                shared.worker_gen[slot].store(0, Ordering::SeqCst);
-                drop(handles[slot].take());
-
-                let mut stranded: Vec<Pending> = {
-                    let mut g = shared.inflight.lock().unwrap();
-                    let s = &mut g[slot];
-                    s.owner_gen = 0;
-                    std::mem::take(&mut s.items)
-                        .into_iter()
-                        .map(|(p, _)| p)
-                        .collect()
-                };
-                {
-                    let mut q = shared.shards[slot].queue.lock().unwrap();
-                    stranded.extend(q.items.drain(..));
-                }
-                resolve_stranded(&shared, slot, stranded);
-
-                // A canary window spanning a quarantine is void: latch
-                // for the controller thread, which owns the verdict.
-                if shared.canary_active.load(Ordering::SeqCst) {
-                    shared.canary_interrupted.store(true, Ordering::SeqCst);
-                }
-
-                // Replacement under the standard respawn backoff, then
-                // probation before rejoin.
-                let pol_r = &shared.cfg.respawn;
-                if last_death[slot].is_some_and(|prev| now.duration_since(prev) > pol_r.reset_after)
-                {
-                    attempts[slot] = 0;
-                }
-                last_death[slot] = Some(now);
-                attempts[slot] += 1;
-                let delay = respawn_delay(pol_r, slot, attempts[slot]);
-                dar_obs::event(ObsEvent::RespawnBackoff {
-                    slot: slot as u64,
-                    attempt: attempts[slot] as u64,
-                    delay_ms: delay.as_millis() as u64,
-                });
-                dar_obs::inc("serve.respawn_backoffs");
-                w.respawn_at = Some(now + delay);
-                w.respawn_probation = true;
-            }
-        }
-    }
-    // Shutdown: join workers (each drains its own shard with `Shutdown`).
-    for h in handles.iter_mut() {
-        if let Some(h) = h.take() {
-            let _ = h.join();
-        }
-    }
-    // Late deaths and leftovers: one final sweep so nothing resolves as
-    // `Lost` — including shards whose home replica died and was never
-    // respawned. NB: the slot count is read *before* the loop — a `for`
-    // over `0..lock().len()` would hold the guard across `drain_slot`'s
-    // own lock and self-deadlock.
-    while let Ok((slot, _gen)) = death_rx.try_recv() {
-        drain_slot(slot);
-    }
-    let slots = shared.inflight.lock().unwrap().len();
-    for slot in 0..slots {
-        drain_slot(slot);
-    }
-    for shard in &shared.shards {
-        let leftovers: Vec<Pending> = shard.queue.lock().unwrap().items.drain(..).collect();
-        for p in leftovers {
-            p.respond(Err(ServeError::Shutdown));
-        }
-    }
-}
-
-/// Backoff for respawn `attempt` (1-based) of `slot`:
-/// `min(base · 2^(attempt-1), cap)` plus up to +25% jitter from a
-/// splitmix64 of `(jitter_seed, slot, attempt)` — deterministic, so a
-/// chaos replay sees the identical schedule.
-fn respawn_delay(pol: &RespawnBackoff, slot: usize, attempt: u32) -> Duration {
-    let exp = attempt.saturating_sub(1).min(16);
-    let base = pol.base.saturating_mul(1u32 << exp).min(pol.cap);
-    let x = splitmix64(
-        pol.jitter_seed
-            .wrapping_add((slot as u64) << 32)
-            .wrapping_add(attempt as u64),
-    );
-    let span = base.as_micros() as u64 / 4;
-    let jitter = if span == 0 { 0 } else { x % (span + 1) };
-    base + Duration::from_micros(jitter)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn respawn_backoff_is_bounded_exponential_and_deterministic() {
-        let pol = RespawnBackoff::default();
-        let d1 = respawn_delay(&pol, 0, 1);
-        let d2 = respawn_delay(&pol, 0, 2);
-        let d8 = respawn_delay(&pol, 0, 8);
-        assert!(d1 >= pol.base && d1 <= pol.base + pol.base / 4);
-        assert!(d2 > d1, "second attempt backs off further");
-        assert!(
-            d8 <= pol.cap + pol.cap / 4,
-            "cap bounds the schedule: {d8:?}"
-        );
-        // Seeded jitter: same inputs, same delay; different slot differs.
-        assert_eq!(respawn_delay(&pol, 0, 3), respawn_delay(&pol, 0, 3));
-        assert_ne!(respawn_delay(&pol, 0, 3), respawn_delay(&pol, 1, 3));
-        // Attempt counts far past the cap do not overflow.
-        assert!(respawn_delay(&pol, 2, 1_000) <= pol.cap + pol.cap / 4);
-    }
-
-    #[test]
-    fn replica_spans_are_static_and_bounded() {
-        assert_eq!(replica_span(0), "serve_replica/0");
-        assert_eq!(replica_span(7), "serve_replica/7");
-        assert_eq!(replica_span(64), "serve_replica/overflow");
     }
 }

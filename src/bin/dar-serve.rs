@@ -110,7 +110,7 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
         .collect();
 
     let mut rps = Vec::new();
-    let mut p99 = Vec::new();
+    let mut latency_us = Vec::new(); // (p50, p99, max) per width
     let mut steals = Vec::new();
     let mut total_panics = 0u64;
     let mut all_ok = true;
@@ -121,7 +121,7 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
     // of every repetition, not just the best one.
     const REPS: usize = 3;
     for width in WIDTHS {
-        let mut best: Option<(f64, u64, u64, u64)> = None;
+        let mut best: Option<(f64, [u64; 3], u64, u64)> = None;
         for _rep in 0..REPS {
             let factory: dar::serve::ModelFactory = Arc::new(move || {
                 let mut rng = dar::rng(seed + 1);
@@ -161,17 +161,19 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
             all_ok &= ok == n_requests;
             total_panics += stats.panics;
             if best.is_none_or(|(b, _, _, _)| rep_rps > b) {
-                best = Some((rep_rps, stats.p99_us, stats.steals, stats.stolen_requests));
+                let latency = [stats.p50_us, stats.p99_us, stats.max_us];
+                best = Some((rep_rps, latency, stats.steals, stats.stolen_requests));
             }
         }
-        let (width_rps, width_p99, width_steals, width_stolen) =
+        let (width_rps, width_latency, width_steals, width_stolen) =
             best.expect("at least one repetition ran");
         eprintln!(
             "[dar-serve] width {width}: {n_requests} requests ×{REPS}, best {width_rps:.1} rps, \
-             p99 {width_p99} us, {width_steals} steals ({width_stolen} requests)"
+             p99 {} us, {width_steals} steals ({width_stolen} requests)",
+            width_latency[1]
         );
         rps.push(width_rps);
-        p99.push(width_p99);
+        latency_us.push(width_latency);
         steals.push(width_steals);
     }
 
@@ -188,16 +190,17 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
         .iter()
         .position(|&w| w == HEADLINE_WIDTH)
         .expect("headline width is part of the sweep");
+    let [p50_us, p99_us, max_us] = latency_us[hl];
     let mut json = format!(
         "{{\"schema_version\": 1, \"requests\": {n_requests}, \"workers\": {}, \"seed\": {seed}, \
-          \"throughput_rps\": {:.2}, \"p50_us\": 0, \"p99_us\": {}, \"max_us\": 0, \
-          \"panics\": {total_panics}, \"steals\": {}",
-        WIDTHS[hl], rps[hl], p99[hl], steals[hl],
+          \"throughput_rps\": {:.2}, \"p50_us\": {p50_us}, \"p99_us\": {p99_us}, \
+          \"max_us\": {max_us}, \"panics\": {total_panics}, \"steals\": {}",
+        WIDTHS[hl], rps[hl], steals[hl],
     );
     for (i, width) in WIDTHS.iter().enumerate() {
         json += &format!(
             ", \"rps_w{width}\": {:.2}, \"p99_w{width}\": {}",
-            rps[i], p99[i]
+            rps[i], latency_us[i][1]
         );
     }
     json += "}\n";
@@ -250,7 +253,6 @@ fn health_bench(seed: u64, out_dir: &std::path::Path) {
     let spin_tok = data.vocab.len();
     let vocab_rows = data.vocab.len() + 1;
     let policy = HealthPolicy {
-        enabled: true,
         stall_budget: Duration::from_millis(150),
         deadline_grace: Duration::from_millis(60),
         probation_probes: 1,

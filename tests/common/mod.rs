@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use dar::data::Review;
 use dar::prelude::*;
-use dar::serve::ServeConfig;
+use dar::serve::{ServeConfig, StatsSnapshot};
 
 /// Trigger token ids live in embedding rows past the dataset vocabulary,
 /// so no organic review ever contains one.
@@ -114,4 +114,28 @@ impl ServeFixture {
         r.ids[0] = trigger;
         r
     }
+}
+
+/// The request ledger balances: every submitted request landed in exactly
+/// one outcome counter. Meaningful once the server is quiet — after
+/// `Server::shutdown`, every submission has its verdict.
+pub fn assert_ledger_balances(stats: &StatsSnapshot) {
+    let outcomes = [
+        ("served_full", stats.served_full),
+        ("served_degraded", stats.served_degraded),
+        ("rejected", stats.rejected),
+        ("queue_full", stats.queue_full),
+        ("shed", stats.shed),
+        ("deadline_exceeded", stats.deadline_exceeded),
+        ("throttled", stats.throttled),
+        ("worker_panicked", stats.worker_panicked),
+        ("shutdown", stats.shutdown),
+        ("abandoned", stats.abandoned),
+    ];
+    let total: u64 = outcomes.iter().map(|(_, n)| n).sum();
+    assert_eq!(
+        stats.submitted, total,
+        "ledger out of balance: {} submitted, outcomes {outcomes:?}",
+        stats.submitted
+    );
 }

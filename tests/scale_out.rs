@@ -202,7 +202,6 @@ fn mid_steal_quarantine_never_double_dispatches() {
             linger: Duration::from_millis(1),
             queue_cap: 128,
             health: dar::serve::HealthPolicy {
-                enabled: true,
                 stall_budget: Duration::from_millis(120),
                 deadline_grace: Duration::from_millis(80),
                 probation_probes: 1,

@@ -18,7 +18,8 @@
 //!   that mixed healthy and wedged traffic never produce a verdict.
 //! * **Expired requests never wait for a wedged owner** — the
 //!   supervisor's deadline sweep answers them even when the backlog sits
-//!   below the steal threshold and the health watchdog is disabled.
+//!   below the steal threshold and the watchdog's stall budget is far
+//!   out of reach.
 //! * **The watchdog is silent on healthy traffic** — with supervision
 //!   enabled, a clean run produces the exact golden deterministic obs
 //!   bytes of the pre-watchdog runtime.
@@ -61,7 +62,6 @@ fn open_policy() -> GuardPolicy {
 /// box never trips it.
 fn fast_health() -> HealthPolicy {
     HealthPolicy {
-        enabled: true,
         stall_budget: Duration::from_millis(120),
         deadline_grace: Duration::from_millis(80),
         probation_probes: 1,
@@ -179,6 +179,7 @@ fn sticky_stall_quarantines_and_resolves_every_request_typed() {
             assert_eq!(stats.hedged, 0, "width 1: nowhere to hedge");
             assert_eq!(stats.abandoned, 6, "width 1: victims abandoned, typed");
         }
+        common::assert_ledger_balances(&stats);
     }
 }
 
@@ -253,6 +254,7 @@ fn one_shot_stall_rejoins_after_probation_and_restores_routing() {
     );
     assert!(stats.rejoins >= 1, "the rejoin was counted");
     assert_eq!(stats.replicas[home].health, "healthy");
+    common::assert_ledger_balances(&stats);
 }
 
 /// A quarantine inside a canary window voids the round: the controller
@@ -333,7 +335,8 @@ fn quarantine_mid_canary_rolls_back_with_typed_cause() {
         .wait()
         .expect("post-rollback traffic serves");
     assert_eq!(out.weights_version, 1, "the incumbent weights stay live");
-    server.shutdown();
+    let stats = server.shutdown();
+    common::assert_ledger_balances(&stats);
     std::fs::remove_file(&tmp).ok();
 }
 
@@ -341,7 +344,8 @@ fn quarantine_mid_canary_rolls_back_with_typed_cause() {
 /// threshold is invisible to thieves, so when its home replica is
 /// wedged its expired requests used to wait for an owner that never
 /// came. The supervisor's deadline sweep answers them on time — with
-/// the health watchdog switched off, so the sweep alone is on the hook.
+/// a watchdog stall budget far above the wedge, so the sweep alone is on
+/// the hook.
 #[test]
 fn deadline_sweep_rescues_sub_threshold_backlog_from_a_wedged_owner() {
     let _g = suite_lock();
@@ -356,8 +360,11 @@ fn deadline_sweep_rescues_sub_threshold_backlog_from_a_wedged_owner() {
                 // Far above the backlog this test builds: no thief bites.
                 min_victim_backlog: Some(64),
             },
+            // A stall budget far above the 1.2s wedge: the watchdog never
+            // condemns the owner, so the sweep alone must rescue the
+            // stranded requests.
             health: HealthPolicy {
-                enabled: false,
+                stall_budget: Duration::from_secs(60),
                 ..HealthPolicy::default()
             },
             ..fx.serve_cfg(2)
@@ -398,8 +405,12 @@ fn deadline_sweep_rescues_sub_threshold_backlog_from_a_wedged_owner() {
 
     let stats = server.shutdown();
     assert_eq!(stats.deadline_exceeded, 3);
-    assert_eq!(stats.quarantines, 0, "the watchdog was off");
+    assert_eq!(
+        stats.quarantines, 0,
+        "the watchdog's budget was never reached"
+    );
     assert_eq!(stats.abandoned, 0);
+    common::assert_ledger_balances(&stats);
 }
 
 /// With the watchdog enabled (default policy), a clean sequential run
@@ -421,7 +432,6 @@ fn clean_run_with_watchdog_enabled_keeps_golden_obs_bytes() {
         },
         ..fx.serve_cfg(4)
     };
-    assert!(cfg.health.enabled, "supervision is on by default");
     let server = Server::start(cfg, fx.factory(ChaosPlan::default()));
     for i in 0..100 {
         server.submit(fx.clean(i)).wait().expect("request failed");

@@ -100,6 +100,7 @@ fn exactly_one_outcome_at(replicas: usize) {
     assert!(panicked >= 1, "at least the first panic batch fails typed");
     let stats = server.shutdown();
     assert!(stats.panics >= 1);
+    common::assert_ledger_balances(&stats);
 }
 
 #[test]
@@ -515,4 +516,46 @@ fn deadlines_and_backpressure_resolve_typed() {
     let stats = server.shutdown();
     assert_eq!(stats.queue_full, 1);
     assert_eq!(stats.deadline_exceeded, 1);
+    common::assert_ledger_balances(&stats);
+}
+
+/// Shutdown answers everything still queued, and the ledger counts it:
+/// with one slow request in flight and six queued behind it, `shutdown()`
+/// resolves the six as `Shutdown`, the slow one finishes, and
+/// `submitted` equals the sum of the outcome counters.
+#[test]
+fn shutdown_answers_queued_requests_and_balances_the_ledger() {
+    let fx = ServeFixture::new(580);
+    let slow_tok = fx.trigger(4);
+    let server = Server::start(
+        ServeConfig {
+            max_batch: 1,
+            linger: Duration::ZERO,
+            ..fx.serve_cfg(1)
+        },
+        fx.factory(ChaosPlan {
+            slow_token: Some((slow_tok, 300)),
+            ..Default::default()
+        }),
+    );
+    let slow = server.submit(fx.triggered(0, slow_tok));
+    // The replica's first heartbeat is its claim of the slow request:
+    // from then on it is busy for 300ms, and everything else queues.
+    while server.stats().replicas[0].heartbeats == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued: Vec<_> = (0..6).map(|i| server.submit(fx.clean(i))).collect();
+
+    let stats = server.shutdown();
+    assert!(slow.wait().is_ok(), "the in-flight request finishes");
+    for (i, t) in queued.into_iter().enumerate() {
+        assert!(
+            matches!(t.wait(), Err(ServeError::Shutdown)),
+            "queued request {i} must resolve Shutdown"
+        );
+    }
+    assert_eq!(stats.submitted, 7);
+    assert_eq!(stats.shutdown, 6, "six Shutdown outcomes");
+    assert_eq!(stats.served_full + stats.served_degraded, 1);
+    common::assert_ledger_balances(&stats);
 }
