@@ -34,9 +34,15 @@ st_clippy() { cargo clippy --all-targets -- -D warnings; }
 
 st_build() { cargo build --release; }
 
-# dar-par lives under crates/shims/, which the workspace excludes so the
-# shims stay dependency-free; its tests must be invoked standalone.
-st_par_tests() { cargo test --manifest-path crates/shims/dar-par/Cargo.toml --release -q; }
+# The shim crates (dar-par and the offline rand/proptest/criterion
+# stand-ins) live under crates/shims/, which the workspace excludes so the
+# shims stay dependency-free; their own tests must be invoked standalone.
+st_shim_tests() {
+    local shim
+    for shim in dar-par rand proptest criterion; do
+        cargo test --manifest-path "crates/shims/$shim/Cargo.toml" --release -q || return 1
+    done
+}
 
 # The repository benchmark (darbench/, BENCHMARK.json) is its own Cargo
 # workspace built against the public API: its self-tests also prove it
@@ -125,10 +131,6 @@ st_kernel_deny() {
 # gemm and gru_bptt, >= 1.3x end to end) on SIMD-capable machines.
 st_kernel_bench() { cargo run --release --bin numbench -- --kernels --out results; }
 
-# Guard-rail overhead benchmark: raw vs guarded throughput on the same
-# seeded workload, recorded into results/BENCH_numeric.json (< 5% target).
-st_numbench() { cargo run --release --bin numbench -- --out results; }
-
 # Observability overhead benchmark: instrumentation disabled vs enabled on
 # the same seeded workload, recorded into results/BENCH_obs.json. The
 # binary itself exits non-zero past the 3% budget (DESIGN.md §12).
@@ -143,7 +145,7 @@ st_benchgate() {
     local bl=target/benchgate/baseline
     rm -rf "$bl" && mkdir -p "$bl"
     local f
-    for f in BENCH_serve.json BENCH_numeric.json BENCH_obs.json BENCH_online.json \
+    for f in BENCH_serve.json BENCH_obs.json BENCH_online.json \
         BENCH_recovery.json BENCH_health.json BENCH_kernels.json; do
         git show "HEAD:results/$f" > "$bl/$f" 2>/dev/null || rm -f "$bl/$f"
     done
@@ -163,8 +165,8 @@ st_selftest_fail() {
 # Fail-fast order: text gates (fmt, ops-deny, kernel-deny) cost seconds
 # and run before anything build-heavy; clippy compiles but still beats a
 # full release build + test sweep.
-STAGE_NAMES=(fmt ops-deny kernel-deny clippy build par-tests darbench test-t1 test-t4
-    serve-bench serve-saturation health-bench loop-bench recovery-drill numbench
+STAGE_NAMES=(fmt ops-deny kernel-deny clippy build shim-tests darbench test-t1 test-t4
+    serve-bench serve-saturation health-bench loop-bench recovery-drill
     obsbench kernel-bench benchgate)
 [[ ${DAR_CI_SELFTEST:-0} == 1 ]] && STAGE_NAMES+=(selftest-fail)
 

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use dar_bench::{build_model, Profile};
+use dar_bench::Profile;
+use dar_core::models;
 use dar_core::prelude::*;
 use dar_data::BatchIter;
 
@@ -34,7 +35,7 @@ fn bench_train_steps(c: &mut Criterion) {
         "3PLAYER",
         "VIB",
     ] {
-        let mut model = build_model(name, &cfg, &emb, &data, 1, &mut rng);
+        let mut model = models::by_name(name, &cfg, &emb, &data, 1, &mut rng).expect("paper model");
         let mut step_rng = dar_core::rng(5);
         group.bench_with_input(BenchmarkId::from_parameter(name), &(), |bench, ()| {
             bench.iter(|| model.train_step(&batch, &mut step_rng))
@@ -58,7 +59,7 @@ fn bench_inference(c: &mut Criterion) {
     let batch = BatchIter::sequential(&data.test, 32)
         .next()
         .expect("empty test");
-    let model = build_model("DAR", &cfg, &emb, &data, 1, &mut rng);
+    let model = models::by_name("DAR", &cfg, &emb, &data, 1, &mut rng).expect("paper model");
     group.bench_function("DAR_infer_b32", |bench| {
         bench.iter(|| dar_tensor::no_grad(|| model.infer(&batch)))
     });

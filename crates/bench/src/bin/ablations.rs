@@ -104,7 +104,8 @@ fn main() {
         let mut rng2 = dar_core::rng(seed + 3);
         let emb = SharedEmbedding::pretrained(&data, cfg.emb_dim, &mut rng2);
         let mut model =
-            dar_bench::build_model("RNP", &cfg, &emb, &data, profile.pretrain_epochs, &mut rng2);
+            dar_core::models::by_name("RNP", &cfg, &emb, &data, profile.pretrain_epochs, &mut rng2)
+                .expect("paper model");
         let rep = Trainer::new(profile.train_config()).fit(model.as_mut(), &data, &mut rng2);
         println!(
             "  RNP on {label:<22} F1 {:>5.1} (precision {:>5.1})",

@@ -5,7 +5,8 @@
 //! cargo run --release -p dar-bench --bin table4
 //! ```
 
-use dar_bench::{build_model, dataset, Profile};
+use dar_bench::{dataset, Profile};
+use dar_core::models;
 use dar_core::prelude::*;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         "model", "modules", "params", "multiple", "paper"
     );
     // Reference: one player's parameter count (half of RNP).
-    let rnp = build_model("RNP", &cfg, &emb, &data, 1, &mut rng);
+    let rnp = models::by_name("RNP", &cfg, &emb, &data, 1, &mut rng).expect("paper model");
     let single = rnp.num_params() / 2;
     let paper = [
         ("RNP", "2x"),
@@ -34,7 +35,7 @@ fn main() {
         ("VIB", "-"),
     ];
     for (name, paper_mult) in paper {
-        let m = build_model(name, &cfg, &emb, &data, 1, &mut rng);
+        let m = models::by_name(name, &cfg, &emb, &data, 1, &mut rng).expect("paper model");
         let (gens, preds) = m.player_modules();
         // DAR's frozen discriminator is excluded from trainable params but
         // still occupies memory; count it for the multiple.

@@ -53,8 +53,15 @@ fn run_mean_fixed_alpha(
             let data = dar_bench::dataset(aspect, profile, seed);
             let mut rng = dar_core::rng(seed.wrapping_mul(2654435761).wrapping_add(7));
             let emb = SharedEmbedding::pretrained(&data, cfg.emb_dim, &mut rng);
-            let mut model =
-                dar_bench::build_model(name, cfg, &emb, &data, profile.pretrain_epochs, &mut rng);
+            let mut model = dar_core::models::by_name(
+                name,
+                cfg,
+                &emb,
+                &data,
+                profile.pretrain_epochs,
+                &mut rng,
+            )
+            .expect("paper model");
             Trainer::new(profile.train_config())
                 .fit(model.as_mut(), &data, &mut rng)
                 .test

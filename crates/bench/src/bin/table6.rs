@@ -9,11 +9,12 @@
 
 use dar_bench::{dataset, print_header, Profile};
 use dar_core::generator::Encoder;
+use dar_core::models::descend;
 use dar_core::prelude::*;
 use dar_data::BatchIter;
 use dar_nn::module::copy_params;
 use dar_nn::{Module, TransformerConfig, TransformerEncoder};
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, Optimizer};
+use dar_tensor::optim::Adam;
 
 fn main() {
     let profile = Profile::from_env();
@@ -59,7 +60,14 @@ fn main() {
                     // encoder on full text (Eq. (4)), then frozen.
                     let disc = Predictor::new(&cfg, &emb, ml, &mut rng);
                     load(&disc.encoder, &pretrained);
-                    finetune_full_text(&disc, &data, profile.pretrain_epochs, cfg.lr, &mut rng);
+                    pretrain::train_full_text(
+                        &disc,
+                        &data.train,
+                        profile.pretrain_epochs,
+                        32,
+                        cfg.lr,
+                        &mut rng,
+                    );
                     let m = Dar::new(&cfg, &emb, disc, ml, &mut rng);
                     load(&m.gen.encoder, &pretrained);
                     load(&m.pred.encoder, &pretrained);
@@ -105,33 +113,9 @@ fn mlm_pretrain(
     let params = enc.params();
     for _ in 0..2 {
         for batch in BatchIter::shuffled(&data.train, 32, rng) {
-            zero_grads(&params);
             let loss = enc.mlm_loss(&batch.ids, &batch.mask, 0.15, rng);
-            loss.backward();
-            clip_grad_norm(&params, 5.0);
-            opt.step(&params);
+            descend(&mut opt, &params, &loss);
         }
     }
     enc
-}
-
-/// Fine-tune a predictor on full text (Eq. (4)) from its current weights.
-fn finetune_full_text(
-    pred: &Predictor,
-    data: &AspectDataset,
-    epochs: usize,
-    lr: f32,
-    rng: &mut dar_core::Rng,
-) {
-    let mut opt = Adam::with_lr(lr);
-    let params = pred.params();
-    for _ in 0..epochs {
-        for batch in BatchIter::shuffled(&data.train, 32, rng) {
-            zero_grads(&params);
-            let logits = pred.forward_full(&batch);
-            dar_nn::loss::cross_entropy(&logits, &batch.labels).backward();
-            clip_grad_norm(&params, 5.0);
-            opt.step(&params);
-        }
-    }
 }

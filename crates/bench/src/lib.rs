@@ -9,8 +9,8 @@
 //! * `standard` — the default; balances fidelity and CPU wall-clock.
 //! * `full`     — paper-scaled synthetic corpora; slowest, best fidelity.
 
+use dar_core::models;
 use dar_core::prelude::*;
-use dar_core::Rng;
 
 /// Experiment scale profile.
 #[derive(Debug, Clone)]
@@ -118,32 +118,6 @@ pub fn dataset(aspect: Aspect, profile: &Profile, seed: u64) -> AspectDataset {
     }
 }
 
-/// Model registry: construct a model by its paper name.
-pub fn build_model(
-    name: &str,
-    cfg: &RationaleConfig,
-    emb: &SharedEmbedding,
-    data: &AspectDataset,
-    pretrain_epochs: usize,
-    rng: &mut Rng,
-) -> Box<dyn RationaleModel> {
-    let ml = pretrain::max_len(data);
-    match name {
-        "RNP" => Box::new(Rnp::new(cfg, emb, ml, rng)),
-        "DAR" => {
-            let disc = pretrain::full_text_predictor(cfg, emb, data, pretrain_epochs, rng);
-            Box::new(Dar::new(cfg, emb, disc, ml, rng))
-        }
-        "A2R" => Box::new(A2r::new(cfg, emb, ml, rng)),
-        "DMR" => Box::new(Dmr::new(cfg, emb, ml, rng)),
-        "Inter_RAT" => Box::new(InterRat::new(cfg, emb, ml, rng)),
-        "CAR" => Box::new(Car::new(cfg, emb, ml, rng)),
-        "3PLAYER" => Box::new(ThreePlayer::new(cfg, emb, ml, rng)),
-        "VIB" => Box::new(Vib::new(cfg, emb, ml, rng)),
-        other => panic!("unknown model '{other}'"),
-    }
-}
-
 /// One full (dataset, model) run for one seed.
 pub fn run_once(
     model_name: &str,
@@ -160,14 +134,15 @@ pub fn run_once(
     };
     let mut rng = dar_core::rng(seed.wrapping_mul(2654435761).wrapping_add(7));
     let emb = SharedEmbedding::pretrained(&data, cfg.emb_dim, &mut rng);
-    let mut model = build_model(
+    let mut model = models::by_name(
         model_name,
         &cfg,
         &emb,
         &data,
         profile.pretrain_epochs,
         &mut rng,
-    );
+    )
+    .unwrap_or_else(|| panic!("unknown model '{model_name}'"));
     Trainer::new(profile.train_config()).fit(model.as_mut(), &data, &mut rng)
 }
 
@@ -288,31 +263,5 @@ mod tests {
         assert_eq!(m.acc, Some(0.85));
         assert_eq!(m.full_acc, None);
         assert_eq!(m.runs, 2);
-    }
-
-    #[test]
-    fn registry_knows_all_paper_models() {
-        let profile = Profile::quick();
-        let data = dataset(Aspect::Palate, &profile, 1);
-        let cfg = RationaleConfig {
-            emb_dim: 16,
-            hidden: 12,
-            ..Default::default()
-        };
-        let mut rng = dar_core::rng(2);
-        let emb = SharedEmbedding::random(data.vocab.len(), cfg.emb_dim, &mut rng);
-        for name in [
-            "RNP",
-            "DAR",
-            "A2R",
-            "DMR",
-            "Inter_RAT",
-            "CAR",
-            "3PLAYER",
-            "VIB",
-        ] {
-            let m = build_model(name, &cfg, &emb, &data, 1, &mut rng);
-            assert_eq!(m.name(), name);
-        }
     }
 }

@@ -74,16 +74,8 @@ pub struct TrainConfig {
     /// Early-stopping patience in epochs, keyed on dev accuracy (paper
     /// App. B); `None` disables early stopping.
     pub patience: Option<usize>,
-    /// Global gradient-norm clip.
-    pub clip: f32,
     /// Print one line per epoch.
     pub verbose: bool,
-    /// Split each batch into this many fixed contiguous row-shards for
-    /// gradient accumulation (see DESIGN.md §9). Shard boundaries are a
-    /// pure function of batch size and this count — never of the thread
-    /// budget — and shards are reduced in ascending order, so results for
-    /// a given shard count are bit-identical on any `DAR_THREADS`.
-    pub grad_accum_shards: usize,
 }
 
 impl Default for TrainConfig {
@@ -92,9 +84,7 @@ impl Default for TrainConfig {
             epochs: 30,
             batch_size: 64,
             patience: Some(8),
-            clip: 5.0,
             verbose: false,
-            grad_accum_shards: 1,
         }
     }
 }

@@ -157,14 +157,6 @@ impl<M: RationaleModel> RationaleModel for FaultyModel<M> {
         self.inject(step, loss)
     }
 
-    fn train_step_sharded(&mut self, batch: &dar_data::Batch, rng: &mut Rng, shards: usize) -> f32 {
-        let step = self.step;
-        self.step += 1;
-        self.steps_taken += 1;
-        let loss = self.inner.train_step_sharded(batch, rng, shards);
-        self.inject(step, loss)
-    }
-
     fn infer(&self, batch: &dar_data::Batch) -> Inference {
         self.inner.infer(batch)
     }
@@ -288,10 +280,6 @@ impl<M: RationaleModel> RationaleModel for ChaosModel<M> {
 
     fn train_step(&mut self, batch: &dar_data::Batch, rng: &mut Rng) -> f32 {
         self.inner.train_step(batch, rng)
-    }
-
-    fn train_step_sharded(&mut self, batch: &dar_data::Batch, rng: &mut Rng, shards: usize) -> f32 {
-        self.inner.train_step_sharded(batch, rng, shards)
     }
 
     fn infer(&self, batch: &dar_data::Batch) -> Inference {
@@ -489,8 +477,9 @@ mod tests {
 
     #[test]
     fn chaos_collapse_fires_on_infer_and_spares_full_text() {
-        use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+        use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
         use crate::models::Rnp;
+        use crate::pretrain::max_len;
         use dar_data::BatchIter;
 
         let data = tiny_dataset(300);
@@ -532,8 +521,9 @@ mod tests {
 
     #[test]
     fn chaos_panic_token_kills_infer_only() {
-        use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+        use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
         use crate::models::Rnp;
+        use crate::pretrain::max_len;
         use dar_data::BatchIter;
 
         let data = tiny_dataset(310);
@@ -562,8 +552,9 @@ mod tests {
 
     #[test]
     fn stall_plan_one_shot_arms_once_and_sticky_repeats() {
-        use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+        use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
         use crate::models::Rnp;
+        use crate::pretrain::max_len;
         use dar_data::BatchIter;
 
         let data = tiny_dataset(320);

@@ -2,11 +2,13 @@
 //! loss spikes, and rationale collapse instead of silently producing a
 //! broken model.
 //!
-//! [`GuardedTrainer`] runs the same epoch loop as [`Trainer`] but watches
-//! every batch loss and every epoch's dev metrics. When a guard trips it
-//! rolls the model — weights, optimizer moments, RNG stream, and
-//! early-stopping state — back to the last good epoch-boundary checkpoint,
-//! decays the learning rate, and retries, up to a bounded number of times.
+//! [`GuardedTrainer`] trains like [`crate::Trainer`] — its own epoch loop
+//! over the same run state — but watches every batch loss and every
+//! epoch's dev metrics. When a guard trips it rolls the model — weights,
+//! optimizer moments, RNG stream, and early-stopping state — back to the
+//! last good epoch-boundary checkpoint through the same load
+//! [`crate::Trainer::fit_resume`] uses, decays the learning rate, and
+//! retries, up to a bounded number of times.
 //! Every decision is recorded as a structured [`TrainEvent`] so a failed
 //! run explains itself rather than panicking.
 
@@ -14,13 +16,12 @@ use std::collections::VecDeque;
 use std::path::Path;
 
 use dar_data::{AspectDataset, BatchIter};
-use dar_tensor::serial::{self, Checkpoint};
 use dar_tensor::{DarError, DarResult};
 
 use crate::config::TrainConfig;
-use crate::eval::{evaluate_model, RationaleMetrics};
+use crate::eval::evaluate_model;
 use crate::models::RationaleModel;
-use crate::trainer::{EpochLog, ResumeState, TrainReport};
+use crate::trainer::{dev_score, RunState, TrainReport};
 use crate::Rng;
 
 /// Thresholds and retry budget for [`GuardedTrainer`].
@@ -204,6 +205,17 @@ impl LossWindow {
     }
 }
 
+/// What a guarded run tracks beyond the shared [`RunState`]: its event
+/// log, the rollback and retry counts, the pending learning-rate scale
+/// and the spike window.
+struct GuardState {
+    events: Vec<TrainEvent>,
+    rollbacks: usize,
+    retries: usize,
+    lr_scale: f32,
+    window: LossWindow,
+}
+
 /// Fault-tolerant wrapper around the [`Trainer`](crate::Trainer) loop.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardedTrainer {
@@ -214,10 +226,6 @@ pub struct GuardedTrainer {
 impl GuardedTrainer {
     pub fn new(cfg: TrainConfig, policy: GuardPolicy) -> Self {
         GuardedTrainer { cfg, policy }
-    }
-
-    fn dev_score(m: &RationaleMetrics) -> f32 {
-        m.acc.unwrap_or(m.f1)
     }
 
     /// Train with divergence guards, checkpointing every clean epoch to
@@ -234,153 +242,59 @@ impl GuardedTrainer {
     ) -> DarResult<GuardedReport> {
         let _train_span = dar_obs::span("train");
         let cfg = self.cfg;
-        let policy = self.policy;
-        let mut events = Vec::new();
-        let mut rollbacks = 0usize;
-        let mut retries = 0usize;
-        let mut lr_scale = 1.0f32;
-
-        let mut history: Vec<EpochLog> = Vec::with_capacity(cfg.epochs);
-        let mut best_score = f32::NEG_INFINITY;
-        let mut best_epoch = 0usize;
-        let mut best_snap = model.snapshot();
-        let mut since_best = 0usize;
-        let mut window = LossWindow::new(policy.spike_window);
-
+        let mut guard = GuardState {
+            events: Vec::new(),
+            rollbacks: 0,
+            retries: 0,
+            lr_scale: 1.0,
+            window: LossWindow::new(self.policy.spike_window),
+        };
+        let mut state = RunState::new(model);
         // Seed checkpoint before the first step, so even an epoch-0
         // divergence has a good state to roll back to.
-        self.save(
-            model, rng, ckpt, 0, best_epoch, best_score, since_best, &history, &best_snap,
-        )?;
+        state.save(model, rng, ckpt)?;
 
-        let mut epoch = 0usize;
-        while epoch < cfg.epochs {
-            if let Some(patience) = cfg.patience {
-                if since_best >= patience {
-                    break;
-                }
-            }
-            match self.try_epoch(model, data, rng, epoch, &mut window) {
-                Ok(train_loss) => {
+        while state.next_epoch < cfg.epochs && !state.patience_spent(cfg.patience) {
+            let epoch = state.next_epoch;
+            let verdict = self
+                .try_epoch(model, data, rng, epoch, &mut guard.window)
+                .and_then(|train_loss| {
                     let dev_metrics = {
                         let _eval_span = dar_obs::span("eval");
                         evaluate_model(model, &data.dev, cfg.batch_size)
                     };
                     let selected = dev_metrics.sparsity;
-                    if policy.is_collapsed(selected) {
-                        let reason = GuardReason::RationaleCollapse { epoch, selected };
-                        self.rollback(
-                            model,
-                            rng,
-                            ckpt,
-                            reason,
-                            epoch,
-                            &mut events,
-                            &mut retries,
-                            &mut rollbacks,
-                            &mut lr_scale,
-                            &mut window,
-                            &mut history,
-                            &mut best_score,
-                            &mut best_epoch,
-                            &mut best_snap,
-                            &mut since_best,
-                        )?;
-                        epoch = self.load_epoch(ckpt)?;
-                        continue;
-                    }
-                    let score = Self::dev_score(&dev_metrics);
-                    history.push(EpochLog {
-                        epoch,
-                        train_loss,
-                        dev_score: score,
-                    });
-                    events.push(TrainEvent::EpochDone {
-                        epoch,
-                        train_loss,
-                        dev_score: score,
-                    });
-                    dar_obs::event(dar_obs::ObsEvent::EpochDone {
-                        epoch: epoch as u64,
-                        train_loss,
-                        dev_score: score,
-                    });
-                    dar_obs::inc("train.epochs");
-                    if cfg.verbose {
-                        println!(
-                            "[{}|guarded] epoch {epoch:>3}  loss {train_loss:.4}  dev {score:.4}",
-                            model.name()
-                        );
-                    }
-                    if score > best_score {
-                        best_score = score;
-                        best_epoch = epoch;
-                        best_snap = model.snapshot();
-                        since_best = 0;
+                    if self.policy.is_collapsed(selected) {
+                        Err(GuardReason::RationaleCollapse { epoch, selected })
                     } else {
-                        since_best += 1;
+                        Ok((train_loss, dev_score(&dev_metrics)))
                     }
-                    self.save(
-                        model,
-                        rng,
-                        ckpt,
-                        epoch + 1,
-                        best_epoch,
-                        best_score,
-                        since_best,
-                        &history,
-                        &best_snap,
-                    )?;
+                });
+            match verdict {
+                Ok((train_loss, score)) => {
+                    guard.events.push(TrainEvent::EpochDone {
+                        epoch,
+                        train_loss,
+                        dev_score: score,
+                    });
+                    state.record(model, train_loss, score, cfg.verbose, "|guarded");
+                    state.save(model, rng, ckpt)?;
                     // The fresh checkpoint carries any LR decay already, so
                     // the pending scale (applied on top of the *stored* LR
                     // during rollback) starts over.
-                    retries = 0;
-                    lr_scale = 1.0;
-                    epoch += 1;
+                    guard.retries = 0;
+                    guard.lr_scale = 1.0;
                 }
                 Err(reason) => {
-                    self.rollback(
-                        model,
-                        rng,
-                        ckpt,
-                        reason,
-                        epoch,
-                        &mut events,
-                        &mut retries,
-                        &mut rollbacks,
-                        &mut lr_scale,
-                        &mut window,
-                        &mut history,
-                        &mut best_score,
-                        &mut best_epoch,
-                        &mut best_snap,
-                        &mut since_best,
-                    )?;
-                    epoch = self.load_epoch(ckpt)?;
+                    state = self.rollback(model, rng, ckpt, epoch, reason, &mut guard)?
                 }
             }
         }
 
-        model.restore(&best_snap);
-        let (dev, test) = {
-            let _eval_span = dar_obs::span("eval");
-            (
-                evaluate_model(model, &data.dev, cfg.batch_size),
-                evaluate_model(model, &data.test, cfg.batch_size),
-            )
-        };
-        dar_obs::gauge_set("train.best_epoch", best_epoch as i64);
         Ok(GuardedReport {
-            report: TrainReport {
-                model_name: model.name().to_owned(),
-                epochs_run: history.len(),
-                best_epoch,
-                history,
-                test,
-                dev,
-            },
-            events,
-            rollbacks,
+            report: state.finish(model, data, cfg.batch_size),
+            events: guard.events,
+            rollbacks: guard.rollbacks,
         })
     }
 
@@ -404,7 +318,7 @@ impl GuardedTrainer {
                 // *this* step's forward/backward graph.
                 dar_tensor::clear_taint();
             }
-            let loss = model.train_step_sharded(&batch, rng, self.cfg.grad_accum_shards);
+            let loss = model.train_step(&batch, rng);
             let step = n;
             if !loss.is_finite() {
                 let origin = dar_tensor::first_taint().map(|t| t.op);
@@ -440,26 +354,19 @@ impl GuardedTrainer {
         Ok(loss_sum / n.max(1) as f32)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Record the tripped guard, then roll back to the last good checkpoint
+    /// with a decayed learning rate and return its run state — or fail once
+    /// the retry budget is spent.
     fn rollback(
         &self,
         model: &mut dyn RationaleModel,
         rng: &mut Rng,
         ckpt: &Path,
-        reason: GuardReason,
         epoch: usize,
-        events: &mut Vec<TrainEvent>,
-        retries: &mut usize,
-        rollbacks: &mut usize,
-        lr_scale: &mut f32,
-        window: &mut LossWindow,
-        history: &mut Vec<EpochLog>,
-        best_score: &mut f32,
-        best_epoch: &mut usize,
-        best_snap: &mut Vec<Vec<f32>>,
-        since_best: &mut usize,
-    ) -> DarResult<()> {
-        events.push(TrainEvent::GuardTripped {
+        reason: GuardReason,
+        guard: &mut GuardState,
+    ) -> DarResult<RunState> {
+        guard.events.push(TrainEvent::GuardTripped {
             epoch,
             reason: reason.clone(),
         });
@@ -468,47 +375,33 @@ impl GuardedTrainer {
             reason: reason.to_string(),
         });
         dar_obs::inc("guard.trips");
-        if *retries >= self.policy.max_retries {
-            events.push(TrainEvent::RetriesExhausted { epoch });
+        if guard.retries >= self.policy.max_retries {
+            guard.events.push(TrainEvent::RetriesExhausted { epoch });
             dar_obs::event(dar_obs::ObsEvent::RetriesExhausted {
                 epoch: epoch as u64,
             });
             return Err(DarError::RetriesExhausted {
-                retries: *retries,
+                retries: guard.retries,
                 last: reason.to_string(),
             });
         }
-        *retries += 1;
-        *rollbacks += 1;
-        *lr_scale *= self.policy.lr_decay;
-
-        let loaded = serial::load_checkpoint_path(ckpt)?;
-        let state = ResumeState::decode(&loaded.meta)?;
-        serial::restore_into(&loaded.tensors, &model.params())?;
-        // Decay the LR carried inside the restored optimizer states, so
-        // the retried epoch takes smaller steps than the diverged one.
-        let mut optim = state.optim.clone();
-        for s in &mut optim {
-            s.lr *= *lr_scale;
-        }
-        model.restore_optim(&optim)?;
-        *rng = Rng::from_state(state.rng_state);
-        *history = state.history;
-        *best_score = state.best_score;
-        *best_epoch = state.best_epoch;
-        *best_snap = state.best_snap;
-        *since_best = state.since_best;
+        guard.retries += 1;
+        guard.rollbacks += 1;
+        guard.lr_scale *= self.policy.lr_decay;
+        // Decaying the LR carried inside the restored optimizer states
+        // makes the retried epoch take smaller steps than the diverged one.
+        let state = RunState::load(model, rng, ckpt, guard.lr_scale)?;
         // The window is poisoned by the diverged trajectory.
-        window.clear();
-        events.push(TrainEvent::RolledBack {
+        guard.window.clear();
+        guard.events.push(TrainEvent::RolledBack {
             to_epoch: state.next_epoch,
-            retry: *retries,
-            lr_scale: *lr_scale,
+            retry: guard.retries,
+            lr_scale: guard.lr_scale,
         });
         dar_obs::event(dar_obs::ObsEvent::RolledBack {
             to_epoch: state.next_epoch as u64,
-            retry: *retries as u64,
-            lr_scale: *lr_scale,
+            retry: guard.retries as u64,
+            lr_scale: guard.lr_scale,
         });
         dar_obs::inc("guard.rollbacks");
         if self.cfg.verbose {
@@ -516,52 +409,11 @@ impl GuardedTrainer {
                 "[{}|guarded] rollback to epoch {} (retry {}, lr×{:.3})",
                 model.name(),
                 state.next_epoch,
-                retries,
-                lr_scale
+                guard.retries,
+                guard.lr_scale
             );
         }
-        Ok(())
-    }
-
-    /// Next epoch index recorded in the checkpoint on disk.
-    fn load_epoch(&self, ckpt: &Path) -> DarResult<usize> {
-        let loaded = serial::load_checkpoint_path(ckpt)?;
-        Ok(ResumeState::decode(&loaded.meta)?.next_epoch)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn save(
-        &self,
-        model: &dyn RationaleModel,
-        rng: &Rng,
-        ckpt: &Path,
-        next_epoch: usize,
-        best_epoch: usize,
-        best_score: f32,
-        since_best: usize,
-        history: &[EpochLog],
-        best_snap: &[Vec<f32>],
-    ) -> DarResult<()> {
-        let state = ResumeState {
-            model_name: model.name().to_owned(),
-            rng_state: rng.state(),
-            next_epoch,
-            best_epoch,
-            best_score,
-            since_best,
-            history: history.to_vec(),
-            best_snap: best_snap.to_vec(),
-            optim: model.optim_states(),
-        };
-        {
-            let _ckpt_span = dar_obs::span("checkpoint");
-            serial::save_checkpoint_path(ckpt, &Checkpoint::new(model.params(), state.encode()))?;
-        }
-        dar_obs::event(dar_obs::ObsEvent::CheckpointSaved {
-            next_epoch: next_epoch as u64,
-        });
-        dar_obs::inc("train.checkpoints_saved");
-        Ok(())
+        Ok(state)
     }
 }
 
@@ -569,8 +421,9 @@ impl GuardedTrainer {
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
     use crate::models::Rnp;
+    use crate::pretrain::max_len;
 
     fn tmpfile(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();

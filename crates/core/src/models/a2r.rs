@@ -7,13 +7,13 @@
 use dar_data::Batch;
 use dar_nn::loss::{cross_entropy, js_div_logits};
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -24,7 +24,6 @@ pub struct A2r {
     pub pred: Predictor,
     pub aux: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl A2r {
@@ -40,7 +39,6 @@ impl A2r {
             pred: Predictor::new(cfg, embedding, max_len, rng),
             aux: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -58,7 +56,6 @@ impl A2r {
             pred,
             aux: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -87,13 +84,9 @@ impl RationaleModel for A2r {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let loss = self.loss(batch, rng);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
+        let params = self.params();
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -101,20 +94,13 @@ impl RationaleModel for A2r {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = super::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {
@@ -130,7 +116,8 @@ impl RationaleModel for A2r {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

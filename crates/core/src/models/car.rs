@@ -11,13 +11,13 @@ use dar_data::Batch;
 use dar_nn::gumbel::{gumbel_softmax_st, hard_softmax_st};
 use dar_nn::loss::cross_entropy;
 use dar_nn::{Linear, Module};
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Encoder;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, mask_rows, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -102,7 +102,6 @@ pub struct Car {
     pub disc: Predictor,
     opt_gen: Adam,
     opt_disc: Adam,
-    clip: f32,
 }
 
 impl Car {
@@ -118,7 +117,6 @@ impl Car {
             disc: Predictor::new(cfg, embedding, max_len, rng),
             opt_gen: Adam::with_lr(cfg.lr),
             opt_disc: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 }
@@ -144,20 +142,14 @@ impl RationaleModel for Car {
             .sample_mask(batch, &batch.labels, Some(rng))
             .detach();
         let z_cf = self.gen.sample_mask(batch, &flipped, Some(rng)).detach();
-        let d_params = self.disc.params();
-        zero_grads(&d_params);
         let d_loss = cross_entropy(&self.disc.forward_masked(batch, &z_fact), &batch.labels).add(
             &cross_entropy(&self.disc.forward_masked(batch, &z_cf), &batch.labels),
         );
-        d_loss.backward();
-        clip_grad_norm(&d_params, self.clip);
-        self.opt_disc.step(&d_params);
+        let d_loss = descend(&mut self.opt_disc, &self.disc.params(), &d_loss);
 
         // Phase 2: the selector makes factual rationales classifiable and
         // counterfactual ones convincing for the *wrong* class
         // (adversarial), under the usual compactness constraints.
-        let g_params = self.gen.params();
-        zero_grads(&g_params);
         let z_fact = self.gen.sample_mask(batch, &batch.labels, Some(rng));
         let z_cf = self.gen.sample_mask(batch, &flipped, Some(rng));
         let g_loss = cross_entropy(&self.disc.forward_masked(batch, &z_fact), &batch.labels)
@@ -167,12 +159,10 @@ impl RationaleModel for Car {
             )
             .add(&omega(&z_fact, batch, &self.cfg))
             .add(&omega(&z_cf, batch, &self.cfg));
-        g_loss.backward();
+        let g_loss = descend(&mut self.opt_gen, &self.gen.params(), &g_loss);
+        // The adversarial term also left gradients on the discriminator.
         self.disc.zero_grads();
-        clip_grad_norm(&g_params, self.clip);
-        self.opt_gen.step(&g_params);
-
-        d_loss.item() + g_loss.item()
+        d_loss + g_loss
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -211,7 +201,8 @@ impl RationaleModel for Car {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

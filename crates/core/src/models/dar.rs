@@ -10,13 +10,13 @@
 use dar_data::Batch;
 use dar_nn::loss::cross_entropy;
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -28,7 +28,6 @@ pub struct Dar {
     /// `predictor^t`: pretrained on full text, never updated here.
     pub disc: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl Dar {
@@ -52,7 +51,6 @@ impl Dar {
             pred: Predictor::new(cfg, embedding, max_len, rng),
             disc,
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -86,25 +84,9 @@ impl RationaleModel for Dar {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let loss = self.loss(batch, rng);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
-    }
-
-    fn train_step_sharded(&mut self, batch: &Batch, rng: &mut Rng, shards: usize) -> f32 {
-        if shards <= 1 {
-            return self.train_step(batch, rng);
-        }
         let params = self.params();
-        zero_grads(&params);
-        let total = super::accumulate_sharded(batch, shards, |sub| self.loss(sub, rng));
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        total
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -112,20 +94,13 @@ impl RationaleModel for Dar {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = super::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 
     /// The frozen discriminator *is* the model's full-text expert
@@ -143,8 +118,9 @@ impl RationaleModel for Dar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
     use crate::pretrain;
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     fn build(seed: u64) -> (Dar, dar_data::AspectDataset) {
@@ -179,7 +155,7 @@ mod tests {
         let batch = BatchIter::sequential(&data.train, 16).next().unwrap();
         let z = model.gen.sample_mask(&batch, Some(&mut rng));
         let disc_logits = model.disc.forward_masked(&batch, &z);
-        zero_grads(&model.gen.params());
+        dar_tensor::optim::zero_grads(&model.gen.params());
         dar_nn::loss::cross_entropy(&disc_logits, &batch.labels).backward();
         let touched = model
             .gen

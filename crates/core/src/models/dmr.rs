@@ -10,13 +10,13 @@
 use dar_data::Batch;
 use dar_nn::loss::{cross_entropy, kl_div_logits};
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::models::car::ClassConditionalGenerator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, mask_rows, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -28,7 +28,6 @@ pub struct Dmr {
     pub pred: Predictor,
     pub teacher: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl Dmr {
@@ -44,7 +43,6 @@ impl Dmr {
             pred: Predictor::new(cfg, embedding, max_len, rng),
             teacher: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -72,13 +70,9 @@ impl RationaleModel for Dmr {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let loss = self.loss(batch, rng);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
+        let params = self.params();
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -86,9 +80,8 @@ impl RationaleModel for Dmr {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = super::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
@@ -118,7 +111,8 @@ impl RationaleModel for Dmr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

@@ -11,13 +11,13 @@ use rand::Rng as _;
 use dar_data::Batch;
 use dar_nn::loss::cross_entropy;
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -27,7 +27,6 @@ pub struct InterRat {
     pub gen: Generator,
     pub pred: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl InterRat {
@@ -42,7 +41,6 @@ impl InterRat {
             gen: Generator::new(cfg, embedding, max_len, rng),
             pred: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -104,13 +102,9 @@ impl RationaleModel for InterRat {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let loss = self.loss(batch, rng);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
+        let params = self.params();
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -118,20 +112,13 @@ impl RationaleModel for InterRat {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = super::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {
@@ -146,7 +133,8 @@ impl RationaleModel for InterRat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

@@ -1,5 +1,9 @@
 //! The rationalization models: the vanilla RNP game, the paper's DAR, and
 //! the published baselines (A2R, DMR, Inter_RAT, CAR, 3PLAYER, VIB).
+//!
+//! Every model is the generator–predictor game with its own loss, and all
+//! of them train with the one clipped Adam step [`descend`]. [`by_name`]
+//! is the one registry from a [`RationaleModel::name`] to its constructor.
 
 mod a2r;
 mod car;
@@ -19,9 +23,15 @@ pub use rnp::Rnp;
 pub use three_player::ThreePlayer;
 pub use vib::Vib;
 
-use dar_data::Batch;
-use dar_tensor::optim::AdamState;
+use dar_data::{AspectDataset, Batch};
+use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
 use dar_tensor::{DarError, DarResult, Rng, Tensor};
+
+use crate::config::RationaleConfig;
+use crate::embedder::SharedEmbedding;
+use crate::predictor::Predictor;
+use crate::pretrain;
+use crate::sentence::{SentenceRnp, SentenceSplitter};
 
 /// Deterministic inference output of a model on one batch.
 pub struct Inference {
@@ -45,20 +55,6 @@ pub trait RationaleModel {
 
     /// One optimization step on a batch; returns the scalar loss.
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32;
-
-    /// One optimization step with the batch split into `shards` fixed
-    /// contiguous row-ranges, each forwarded/backwarded separately and the
-    /// gradients accumulated in ascending shard order (DESIGN.md §9).
-    ///
-    /// Shard boundaries depend only on the batch size and `shards` — never
-    /// on the thread budget — so for a given shard count the result is
-    /// bit-identical on any `DAR_THREADS`. The default delegates to
-    /// [`Self::train_step`]; models whose loss is a per-example mean
-    /// override this via the crate-private `accumulate_sharded` helper.
-    fn train_step_sharded(&mut self, batch: &Batch, rng: &mut Rng, shards: usize) -> f32 {
-        let _ = shards;
-        self.train_step(batch, rng)
-    }
 
     /// Deterministic inference (argmax masks, no Gumbel noise).
     fn infer(&self, batch: &Batch) -> Inference;
@@ -123,38 +119,79 @@ pub trait RationaleModel {
     }
 }
 
-/// Guard for the fixed-arity optimizer-state handshake in
-/// [`RationaleModel::restore_optim`] implementations.
-/// Accumulate gradients over fixed contiguous row-shards of `batch`.
-///
-/// Each shard's scalar loss is scaled by `|shard| / n` before `backward`,
-/// so for per-example-mean objectives the accumulated gradient equals the
-/// full-batch gradient up to float association. Shards run serially in
-/// ascending index order; parallelism lives inside the tensor ops, which
-/// are bit-identical for any thread budget. The caller zeroes grads first
-/// and clips/steps afterwards. Returns the summed (weighted) loss.
-pub(crate) fn accumulate_sharded(
-    batch: &Batch,
-    shards: usize,
-    mut shard_loss: impl FnMut(&Batch) -> Tensor,
-) -> f32 {
-    let n = batch.len();
-    let k = shards.clamp(1, n.max(1));
-    let mut total = 0.0f32;
-    for s in 0..k {
-        let r = dar_par::shard_range(n, k, s);
-        if r.is_empty() {
-            continue;
-        }
-        let w = r.len() as f32 / n as f32;
-        let sub = batch.rows(r);
-        let loss = shard_loss(&sub).scale(w);
-        total += loss.item();
-        loss.backward();
-    }
-    total
+/// Global gradient-norm clip of every optimizer step.
+pub const GRAD_CLIP: f32 = 5.0;
+
+/// The optimizer step every model and pretraining loop takes: zero the
+/// gradients of `params`, backpropagate `loss`, clip their global norm at
+/// [`GRAD_CLIP`] and step `opt`. Returns the loss value.
+pub fn descend(opt: &mut Adam, params: &[Tensor], loss: &Tensor) -> f32 {
+    zero_grads(params);
+    loss.backward();
+    clip_grad_norm(params, GRAD_CLIP);
+    opt.step(params);
+    loss.item()
 }
 
+/// The model whose [`RationaleModel::name`] is `name`, or `None` for an
+/// unknown name. DAR first pretrains its frozen discriminator on full
+/// text for `pretrain_epochs` (Eq. (4)).
+pub fn by_name(
+    name: &str,
+    cfg: &RationaleConfig,
+    emb: &SharedEmbedding,
+    data: &AspectDataset,
+    pretrain_epochs: usize,
+    rng: &mut Rng,
+) -> Option<Box<dyn RationaleModel>> {
+    let ml = pretrain::max_len(data);
+    Some(match name {
+        "RNP" => Box::new(Rnp::new(cfg, emb, ml, rng)),
+        "DAR" => {
+            let disc = pretrain::full_text_predictor(cfg, emb, data, pretrain_epochs, rng);
+            Box::new(Dar::new(cfg, emb, disc, ml, rng))
+        }
+        "A2R" => Box::new(A2r::new(cfg, emb, ml, rng)),
+        "DMR" => Box::new(Dmr::new(cfg, emb, ml, rng)),
+        "Inter_RAT" => Box::new(InterRat::new(cfg, emb, ml, rng)),
+        "CAR" => Box::new(Car::new(cfg, emb, ml, rng)),
+        "3PLAYER" => Box::new(ThreePlayer::new(cfg, emb, ml, rng)),
+        "VIB" => Box::new(Vib::new(cfg, emb, ml, rng)),
+        "RNP-os" => {
+            let splitter = SentenceSplitter::from_vocab(&data.vocab);
+            Box::new(SentenceRnp::new(cfg, emb, splitter, ml, rng))
+        }
+        _ => return None,
+    })
+}
+
+/// [`RationaleModel::infer`] of a generator + predictor model, given the
+/// generator's deterministic mask `z`: the predictor's logits on the
+/// rationale and on the full input.
+pub(crate) fn rationale_inference(pred: &Predictor, batch: &Batch, z: &Tensor) -> Inference {
+    let logits = pred.forward_masked(batch, z);
+    let full = pred.forward_full(batch);
+    Inference {
+        masks: mask_rows(z, batch),
+        logits: Some(logits),
+        full_logits: Some(full),
+    }
+}
+
+/// [`RationaleModel::restore_optim`] of a model that trains all of its
+/// `params` with one optimizer.
+pub(crate) fn restore_single(
+    model: &str,
+    opt: &mut Adam,
+    params: &[Tensor],
+    states: &[AdamState],
+) -> DarResult<()> {
+    let [s] = expect_states::<1>(model, states)?;
+    opt.import_state(params, s)
+}
+
+/// Guard for the fixed-arity optimizer-state handshake in
+/// [`RationaleModel::restore_optim`] implementations.
 pub(crate) fn expect_states<'a, const N: usize>(
     model: &str,
     states: &'a [AdamState],
@@ -213,15 +250,34 @@ pub(crate) mod test_support {
             &mut dar_tensor::rng(seed),
         )
     }
+}
 
-    /// Max sequence length across splits (encoder sizing).
-    pub fn max_len(data: &AspectDataset) -> usize {
-        data.train
-            .iter()
-            .chain(&data.dev)
-            .chain(&data.test)
-            .map(|r| r.len())
-            .max()
-            .unwrap_or(1)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+
+    #[test]
+    fn registry_knows_all_paper_models() {
+        let data = tiny_dataset(90);
+        let cfg = tiny_config();
+        let emb = tiny_embedding(&data, 91);
+        let mut rng = dar_tensor::rng(92);
+        for name in [
+            "RNP",
+            "DAR",
+            "A2R",
+            "DMR",
+            "Inter_RAT",
+            "CAR",
+            "3PLAYER",
+            "VIB",
+            "RNP-os",
+        ] {
+            let model = by_name(name, &cfg, &emb, &data, 1, &mut rng)
+                .unwrap_or_else(|| panic!("registry does not know '{name}'"));
+            assert_eq!(model.name(), name, "registry key must round-trip");
+        }
+        assert!(by_name("BERT", &cfg, &emb, &data, 1, &mut rng).is_none());
     }
 }

@@ -4,13 +4,13 @@
 use dar_data::Batch;
 use dar_nn::loss::cross_entropy;
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -20,7 +20,6 @@ pub struct Rnp {
     pub gen: Generator,
     pub pred: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl Rnp {
@@ -35,7 +34,6 @@ impl Rnp {
             gen: Generator::new(cfg, embedding, max_len, rng),
             pred: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -53,7 +51,6 @@ impl Rnp {
             gen: Generator::new(cfg, embedding, max_len, rng),
             pred,
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 
@@ -82,25 +79,9 @@ impl RationaleModel for Rnp {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let loss = self.loss(batch, rng);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
-    }
-
-    fn train_step_sharded(&mut self, batch: &Batch, rng: &mut Rng, shards: usize) -> f32 {
-        if shards <= 1 {
-            return self.train_step(batch, rng);
-        }
         let params = self.params();
-        zero_grads(&params);
-        let total = super::accumulate_sharded(batch, shards, |sub| self.loss(sub, rng));
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        total
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -108,20 +89,13 @@ impl RationaleModel for Rnp {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = super::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {
@@ -136,7 +110,8 @@ impl RationaleModel for Rnp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]
@@ -159,36 +134,6 @@ mod tests {
             last < first.unwrap(),
             "loss did not decrease: {first:?} -> {last}"
         );
-    }
-
-    #[test]
-    fn sharded_step_matches_full_batch_closely() {
-        // Two identical models, same seeds: one full-batch step vs one
-        // 2-shard accumulated step. The loss is a per-example mean and the
-        // Gumbel noise is drawn row-major, so the sharded gradient equals
-        // the full-batch one up to float association — parameters after
-        // one Adam step must agree tightly (not bitwise).
-        let data = tiny_dataset(20);
-        let cfg = tiny_config();
-        let emb_a = tiny_embedding(&data, 21);
-        let emb_b = tiny_embedding(&data, 21);
-        let mut rng_a = dar_tensor::rng(22);
-        let mut rng_b = dar_tensor::rng(22);
-        let ml = max_len(&data);
-        let mut full = Rnp::new(&cfg, &emb_a, ml, &mut rng_a);
-        let mut sharded = Rnp::new(&cfg, &emb_b, ml, &mut rng_b);
-        let batch = BatchIter::sequential(&data.train, 32).next().unwrap();
-        let loss_full = full.train_step_sharded(&batch, &mut rng_a, 1);
-        let loss_sharded = sharded.train_step_sharded(&batch, &mut rng_b, 2);
-        assert!(
-            (loss_full - loss_sharded).abs() < 1e-3,
-            "losses diverged: {loss_full} vs {loss_sharded}"
-        );
-        for (p, q) in full.params().iter().zip(sharded.params()) {
-            for (a, b) in p.to_vec().iter().zip(q.to_vec()) {
-                assert!((a - b).abs() < 1e-3, "params diverged: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

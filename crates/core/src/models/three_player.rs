@@ -7,13 +7,13 @@
 use dar_data::Batch;
 use dar_nn::loss::cross_entropy;
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, expect_states, rationale_inference, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -26,7 +26,6 @@ pub struct ThreePlayer {
     pub comp: Predictor,
     opt_main: Adam,
     opt_comp: Adam,
-    clip: f32,
 }
 
 impl ThreePlayer {
@@ -43,8 +42,14 @@ impl ThreePlayer {
             comp: Predictor::new(cfg, embedding, max_len, rng),
             opt_main: Adam::with_lr(cfg.lr),
             opt_comp: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
+    }
+
+    /// The generator and predictor parameters `opt_main` trains.
+    fn main_params(&self) -> Vec<Tensor> {
+        let mut p = self.gen.params();
+        p.extend(self.pred.params());
+        p
     }
 
     fn complement(z: &Tensor, batch: &Batch) -> Tensor {
@@ -59,8 +64,7 @@ impl RationaleModel for ThreePlayer {
     }
 
     fn params(&self) -> Vec<Tensor> {
-        let mut p = self.gen.params();
-        p.extend(self.pred.params());
+        let mut p = self.main_params();
         p.extend(self.comp.params());
         p
     }
@@ -70,18 +74,11 @@ impl RationaleModel for ThreePlayer {
         // complement.
         let z = self.gen.sample_mask(batch, Some(rng));
         let zc = Self::complement(&z, batch).detach();
-        let c_params = self.comp.params();
-        zero_grads(&c_params);
         let c_loss = cross_entropy(&self.comp.forward_masked(batch, &zc), &batch.labels);
-        c_loss.backward();
-        clip_grad_norm(&c_params, self.clip);
-        self.opt_comp.step(&c_params);
+        let c_loss = descend(&mut self.opt_comp, &self.comp.params(), &c_loss);
 
         // Phase 2: generator + predictor minimize the main CE while
         // *maximizing* the complement player's CE (adversarial term).
-        let mut main_params = self.gen.params();
-        main_params.extend(self.pred.params());
-        zero_grads(&main_params);
         let z = self.gen.sample_mask(batch, Some(rng));
         let logits = self.pred.forward_masked(batch, &z);
         let zc = Self::complement(&z, batch);
@@ -89,27 +86,24 @@ impl RationaleModel for ThreePlayer {
         let loss = cross_entropy(&logits, &batch.labels)
             .add(&comp_ce.scale(-self.cfg.aux_weight))
             .add(&omega(&z, batch, &self.cfg));
-        loss.backward();
+        let main_params = self.main_params();
+        let loss = descend(&mut self.opt_main, &main_params, &loss);
+        // The adversarial term also left gradients on the complement
+        // player.
         self.comp.zero_grads();
-        clip_grad_norm(&main_params, self.clip);
-        self.opt_main.step(&main_params);
-
-        c_loss.item() + loss.item()
+        c_loss + loss
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
-        let mut main_params = self.gen.params();
-        main_params.extend(self.pred.params());
         vec![
-            self.opt_main.export_state(&main_params),
+            self.opt_main.export_state(&self.main_params()),
             self.opt_comp.export_state(&self.comp.params()),
         ]
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [m, c] = super::expect_states::<2>(self.name(), states)?;
-        let mut main_params = self.gen.params();
-        main_params.extend(self.pred.params());
+        let [m, c] = expect_states::<2>(self.name(), states)?;
+        let main_params = self.main_params();
         self.opt_main.import_state(&main_params, m)?;
         let c_params = self.comp.params();
         self.opt_comp.import_state(&c_params, c)
@@ -117,13 +111,7 @@ impl RationaleModel for ThreePlayer {
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {
@@ -138,7 +126,8 @@ impl RationaleModel for ThreePlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

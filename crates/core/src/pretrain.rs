@@ -9,12 +9,13 @@
 use dar_data::{AspectDataset, Batch, BatchIter, Review};
 use dar_nn::loss::{accuracy, cross_entropy};
 use dar_nn::Module;
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, Optimizer};
+use dar_tensor::optim::Adam;
 use dar_tensor::Rng;
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
+use crate::models::descend;
 use crate::predictor::Predictor;
 
 /// Longest review across all splits — encoders are sized to it.
@@ -28,7 +29,9 @@ pub fn max_len(data: &AspectDataset) -> usize {
         .unwrap_or(1)
 }
 
-fn train_full_text(
+/// Train a predictor's full-text path on `reviews` from its current
+/// weights with a fresh Adam (Eq. (4)'s objective).
+pub fn train_full_text(
     pred: &Predictor,
     reviews: &[Review],
     epochs: usize,
@@ -40,11 +43,8 @@ fn train_full_text(
     let params = pred.params();
     for _ in 0..epochs {
         for batch in BatchIter::shuffled(reviews, batch_size, rng) {
-            zero_grads(&params);
             let logits = pred.forward_full(&batch);
-            cross_entropy(&logits, &batch.labels).backward();
-            clip_grad_norm(&params, 5.0);
-            opt.step(&params);
+            descend(&mut opt, &params, &cross_entropy(&logits, &batch.labels));
         }
     }
 }
@@ -119,11 +119,8 @@ pub fn skewed_generator(
             break;
         }
         for batch in BatchIter::shuffled(&data.train, 64, rng) {
-            zero_grads(&params);
             let logits = first_token_logits(&gen, &batch);
-            cross_entropy(&logits, &batch.labels).backward();
-            clip_grad_norm(&params, 5.0);
-            opt.step(&params);
+            descend(&mut opt, &params, &cross_entropy(&logits, &batch.labels));
         }
         pre_acc = first_token_accuracy(&gen, &data.train, 64);
     }

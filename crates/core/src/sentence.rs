@@ -10,14 +10,14 @@ use dar_data::Batch;
 use dar_nn::gumbel::{gumbel_softmax_st, hard_softmax_st};
 use dar_nn::loss::cross_entropy;
 use dar_nn::{Linear, Module};
-use dar_tensor::optim::{clip_grad_norm, zero_grads, Adam, AdamState, Optimizer};
+use dar_tensor::optim::{Adam, AdamState};
 use dar_tensor::{DarResult, Rng, Tensor};
 use dar_text::Vocab;
 
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Encoder;
-use crate::models::{mask_rows, Inference, RationaleModel};
+use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 
 /// Splits id sequences into sentences at terminal punctuation.
@@ -168,7 +168,6 @@ pub struct SentenceRnp {
     pub gen: SentenceGenerator,
     pub pred: Predictor,
     opt: Adam,
-    clip: f32,
 }
 
 impl SentenceRnp {
@@ -184,7 +183,6 @@ impl SentenceRnp {
             gen: SentenceGenerator::new(cfg, embedding, splitter, max_len, rng),
             pred: Predictor::new(cfg, embedding, max_len, rng),
             opt: Adam::with_lr(cfg.lr),
-            clip: 5.0,
         }
     }
 }
@@ -201,16 +199,12 @@ impl RationaleModel for SentenceRnp {
     }
 
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32 {
-        let params = self.params();
-        zero_grads(&params);
         let z = self.gen.sample_mask(batch, Some(rng));
         // One-sentence selection needs no sparsity/coherence regularizer:
         // the structure is enforced by construction (as in A2R*).
         let loss = cross_entropy(&self.pred.forward_masked(batch, &z), &batch.labels);
-        loss.backward();
-        clip_grad_norm(&params, self.clip);
-        self.opt.step(&params);
-        loss.item()
+        let params = self.params();
+        descend(&mut self.opt, &params, &loss)
     }
 
     fn optim_states(&self) -> Vec<AdamState> {
@@ -218,27 +212,21 @@ impl RationaleModel for SentenceRnp {
     }
 
     fn restore_optim(&mut self, states: &[AdamState]) -> DarResult<()> {
-        let [s] = crate::models::expect_states::<1>(self.name(), states)?;
         let params = self.params();
-        self.opt.import_state(&params, s)
+        restore_single(self.name(), &mut self.opt, &params, states)
     }
 
     fn infer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        let logits = self.pred.forward_masked(batch, &z);
-        let full = self.pred.forward_full(batch);
-        Inference {
-            masks: mask_rows(&z, batch),
-            logits: Some(logits),
-            full_logits: Some(full),
-        }
+        rationale_inference(&self.pred, batch, &z)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use crate::pretrain::max_len;
     use dar_data::BatchIter;
 
     #[test]

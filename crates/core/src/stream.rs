@@ -12,10 +12,11 @@
 //! server uses ([`dar_data::Review::admissible`]).
 //!
 //! The trainer is *guarded* in the `GuardedTrainer` sense but scoped to
-//! a round: parameters are snapshotted before each round, and a round
-//! that produces a non-finite loss or non-finite parameters is rolled
-//! back and reported as `Skipped` — a poisoned round can never become a
-//! candidate checkpoint, and the serving side additionally re-validates
+//! a round: parameters and optimizer states are snapshotted before each
+//! round, and a round that produces a non-finite loss or non-finite
+//! parameters is rolled back and reported as `Skipped` — a poisoned round
+//! can never become a candidate checkpoint, nor steer later rounds
+//! through its Adam moments, and the serving side additionally re-validates
 //! (CRC/shape) and canaries whatever it is offered. Trainer panics are
 //! caught at the thread boundary and surfaced as a `TrainerDied`
 //! message: the background loop dying must never take serving with it.
@@ -28,6 +29,7 @@ use std::thread::JoinHandle;
 
 use dar_data::{BatchIter, Review, SynBeer, SynthConfig};
 use dar_obs::ObsEvent;
+use dar_tensor::optim::AdamState;
 use dar_tensor::serial::{self, Checkpoint};
 use dar_tensor::Rng;
 
@@ -232,9 +234,10 @@ impl OnlineTrainer {
             };
         }
 
-        // Round-scoped guard: any divergence rolls back to here, and the
-        // round yields no candidate.
+        // Round-scoped guard: any divergence rolls back to here — weights
+        // and optimizer states — and the round yields no candidate.
         let snap = self.model.snapshot();
+        let optim = self.model.optim_states();
         if self.cfg.panic_at_round == Some(round) {
             panic!("online trainer chaos panic (round {round})");
         }
@@ -243,15 +246,7 @@ impl OnlineTrainer {
             for batch in BatchIter::shuffled(&clean, self.cfg.batch_size, &mut rng) {
                 let loss = self.model.train_step(&batch, &mut rng);
                 if !loss.is_finite() {
-                    self.model.restore(&snap);
-                    dar_obs::event(ObsEvent::GuardTripped {
-                        epoch: round as u64,
-                        reason: "online: non-finite loss".into(),
-                    });
-                    return CandidateMsg::Skipped {
-                        round,
-                        cause: "non_finite_loss".into(),
-                    };
+                    return self.skip_round(round, &snap, &optim, "non-finite loss");
                 }
             }
         }
@@ -261,15 +256,7 @@ impl OnlineTrainer {
             .iter()
             .any(|p| p.to_vec().iter().any(|v| !v.is_finite()));
         if poisoned_params {
-            self.model.restore(&snap);
-            dar_obs::event(ObsEvent::GuardTripped {
-                epoch: round as u64,
-                reason: "online: non-finite params".into(),
-            });
-            return CandidateMsg::Skipped {
-                round,
-                cause: "non_finite_params".into(),
-            };
+            return self.skip_round(round, &snap, &optim, "non-finite params");
         }
 
         let path = self
@@ -292,6 +279,29 @@ impl OnlineTrainer {
                 cause: format!("checkpoint_io: {e}"),
             },
         }
+    }
+
+    /// Roll a round that diverged (`what`, e.g. "non-finite loss") back
+    /// to its pre-round weights and optimizer states and skip it. A failed
+    /// optimizer restore skips the round with its own cause.
+    fn skip_round(
+        &mut self,
+        round: usize,
+        snap: &[Vec<f32>],
+        optim: &[AdamState],
+        what: &str,
+    ) -> CandidateMsg {
+        self.model.restore(snap);
+        let restored = self.model.restore_optim(optim);
+        dar_obs::event(ObsEvent::GuardTripped {
+            epoch: round as u64,
+            reason: format!("online: {what}"),
+        });
+        let cause = match restored {
+            Ok(()) => what.replace(['-', ' '], "_"),
+            Err(e) => format!("optim_restore: {e}"),
+        };
+        CandidateMsg::Skipped { round, cause }
     }
 }
 
@@ -341,6 +351,10 @@ pub fn spawn_online_trainer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RationaleConfig;
+    use crate::embedder::SharedEmbedding;
+    use crate::fault::{FaultPlan, FaultyModel};
+    use crate::models::Rnp;
     use dar_data::Aspect;
 
     fn feed_cfg(seed: u64, poison_every: Option<usize>) -> FeedConfig {
@@ -406,6 +420,83 @@ mod tests {
         assert_eq!(clean.len(), 18);
         for r in &clean {
             assert!(r.admissible(vocab, 512).is_ok());
+        }
+    }
+
+    /// Train rounds `first..first + rounds` with an 8-d RNP wrapped in
+    /// `plan`, returning each round's message and its candidate's bytes.
+    fn run_rounds(
+        plan: FaultPlan,
+        first: usize,
+        rounds: usize,
+        tag: &str,
+    ) -> Vec<(CandidateMsg, Option<Vec<u8>>)> {
+        let feed = feed_cfg(21, None);
+        let vocab = SynBeer::generate(&feed.synth, &mut dar_tensor::rng(0))
+            .vocab
+            .len();
+        let dir = std::env::temp_dir().join(format!("dar_stream_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let factory = move || -> Box<dyn RationaleModel> {
+            let cfg = RationaleConfig {
+                emb_dim: 8,
+                hidden: 8,
+                ..Default::default()
+            };
+            let mut rng = dar_tensor::rng(5);
+            let emb = SharedEmbedding::random(vocab, cfg.emb_dim, &mut rng);
+            Box::new(FaultyModel::new(Rnp::new(&cfg, &emb, 64, &mut rng), plan))
+        };
+        let cfg = OnlineTrainerConfig {
+            rounds,
+            first_round: first,
+            epochs_per_round: 1,
+            batch_size: 8,
+            vocab_size: vocab,
+            max_len: 64,
+            candidate_dir: dir.clone(),
+            seed: 9,
+            resume_from: None,
+            panic_at_round: None,
+        };
+        let mut trainer =
+            OnlineTrainer::new(cfg, &factory, ReviewFeed::starting_at(feed, first as u64));
+        let out = (first..first + rounds)
+            .map(|round| {
+                let msg = trainer.train_round(round);
+                let bytes = match &msg {
+                    CandidateMsg::Candidate { path, .. } => Some(std::fs::read(path).unwrap()),
+                    _ => None,
+                };
+                (msg, bytes)
+            })
+            .collect();
+        std::fs::remove_dir_all(dir).ok();
+        out
+    }
+
+    /// A skipped round leaves nothing behind: after a round-0 divergence,
+    /// the later candidates are byte-identical to those of a trainer that
+    /// started at round 1, so the round's Adam moments and step count were
+    /// rolled back with its weights.
+    #[test]
+    fn skipped_round_restores_optimizer_state() {
+        let clean = run_rounds(FaultPlan::none(), 1, 2, "clean");
+        for (tag, plan) in [
+            ("nan_loss", FaultPlan::nan_loss_at(1)),
+            ("nan_weights", FaultPlan::nan_weights_at(0)),
+        ] {
+            let faulty = run_rounds(plan, 0, 3, tag);
+            assert!(
+                matches!(&faulty[0].0, CandidateMsg::Skipped { round: 0, cause }
+                    if cause.starts_with("non_finite")),
+                "{tag}: round 0 must be skipped, got {:?}",
+                faulty[0].0
+            );
+            for ((msg, bytes), (_, want)) in faulty[1..].iter().zip(&clean) {
+                assert!(bytes.is_some(), "{tag}: expected a candidate, got {msg:?}");
+                assert!(bytes == want, "{tag}: {msg:?} differs from a fresh start");
+            }
         }
     }
 }

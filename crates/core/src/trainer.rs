@@ -2,6 +2,10 @@
 //! stopping with best-weight restoration (paper App. B), and final test
 //! evaluation.
 //!
+//! The bookkeeping lives in one [`RunState`], shared with
+//! [`crate::GuardedTrainer`]'s loop: recording a clean epoch, saving and
+//! loading the epoch-boundary checkpoint, and finishing the run.
+//!
 //! # Fault tolerance
 //!
 //! [`Trainer::fit_checkpointed`] writes a durable checkpoint after every
@@ -59,12 +63,6 @@ impl Trainer {
         Trainer { cfg }
     }
 
-    /// Model-selection score on dev: accuracy when available (the paper's
-    /// early-stopping criterion), else rationale F1.
-    fn dev_score(m: &RationaleMetrics) -> f32 {
-        m.acc.unwrap_or(m.f1)
-    }
-
     /// Run the full loop and return the report. The model is left holding
     /// its best-dev weights.
     pub fn fit(
@@ -73,7 +71,8 @@ impl Trainer {
         data: &AspectDataset,
         rng: &mut Rng,
     ) -> TrainReport {
-        self.run(model, data, rng, None, None)
+        let state = RunState::new(model);
+        self.run(model, data, rng, None, state)
             .expect("training without a checkpoint path performs no I/O")
     }
 
@@ -87,7 +86,8 @@ impl Trainer {
         rng: &mut Rng,
         ckpt: &Path,
     ) -> DarResult<TrainReport> {
-        self.run(model, data, rng, Some(ckpt), None)
+        let state = RunState::new(model);
+        self.run(model, data, rng, Some(ckpt), state)
     }
 
     /// Resume an interrupted [`Self::fit_checkpointed`] run from its
@@ -102,23 +102,12 @@ impl Trainer {
         rng: &mut Rng,
         ckpt: &Path,
     ) -> DarResult<TrainReport> {
-        let loaded = serial::load_checkpoint_path(ckpt)?;
-        let state = ResumeState::decode(&loaded.meta)?;
-        if state.model_name != model.name() {
-            return Err(DarError::InvalidData(format!(
-                "checkpoint was written by model '{}', resuming '{}'",
-                state.model_name,
-                model.name()
-            )));
-        }
-        serial::restore_into(&loaded.tensors, &model.params())?;
-        model.restore_optim(&state.optim)?;
-        *rng = Rng::from_state(state.rng_state);
+        let state = RunState::load(model, rng, ckpt, 1.0)?;
         dar_obs::event(dar_obs::ObsEvent::CheckpointResumed {
             next_epoch: state.next_epoch as u64,
         });
         dar_obs::inc("train.resumes");
-        self.run(model, data, rng, Some(ckpt), Some(state))
+        self.run(model, data, rng, Some(ckpt), state)
     }
 
     fn run(
@@ -127,148 +116,197 @@ impl Trainer {
         data: &AspectDataset,
         rng: &mut Rng,
         ckpt: Option<&Path>,
-        resume: Option<ResumeState>,
+        mut state: RunState,
     ) -> DarResult<TrainReport> {
         let _train_span = dar_obs::span("train");
         let cfg = self.cfg;
-        let (mut history, mut best_score, mut best_epoch, mut best_snap, mut since_best, start) =
-            match resume {
-                Some(s) => (
-                    s.history,
-                    s.best_score,
-                    s.best_epoch,
-                    s.best_snap,
-                    s.since_best,
-                    s.next_epoch,
-                ),
-                None => (
-                    Vec::with_capacity(cfg.epochs),
-                    f32::NEG_INFINITY,
-                    0,
-                    model.snapshot(),
-                    0usize,
-                    0,
-                ),
-            };
-
-        for epoch in start..cfg.epochs {
-            // Patience is re-checked at the top so a resume from a
-            // checkpoint written just before early stopping also stops.
-            if let Some(patience) = cfg.patience {
-                if since_best >= patience {
-                    break;
-                }
-            }
+        // Patience is checked before every epoch, so a resume from a
+        // checkpoint written just before early stopping also stops.
+        while state.next_epoch < cfg.epochs && !state.patience_spent(cfg.patience) {
             let mut loss_sum = 0.0;
             let mut n = 0usize;
             {
                 let _epoch_span = dar_obs::span("epoch");
                 for batch in BatchIter::shuffled(&data.train, cfg.batch_size, rng) {
-                    loss_sum += model.train_step_sharded(&batch, rng, cfg.grad_accum_shards);
+                    loss_sum += model.train_step(&batch, rng);
                     n += 1;
                 }
             }
             dar_obs::add("train.steps", n as u64);
-            dar_obs::inc("train.epochs");
             let train_loss = loss_sum / n.max(1) as f32;
             let dev_metrics = {
                 let _eval_span = dar_obs::span("eval");
                 evaluate_model(model, &data.dev, cfg.batch_size)
             };
-            let score = Self::dev_score(&dev_metrics);
-            dar_obs::event(dar_obs::ObsEvent::EpochDone {
-                epoch: epoch as u64,
-                train_loss,
-                dev_score: score,
-            });
-            history.push(EpochLog {
-                epoch,
-                train_loss,
-                dev_score: score,
-            });
-            if cfg.verbose {
-                println!(
-                    "[{}] epoch {epoch:>3}  loss {train_loss:.4}  dev {score:.4}",
-                    model.name()
-                );
-            }
-            if score > best_score {
-                best_score = score;
-                best_epoch = epoch;
-                best_snap = model.snapshot();
-                since_best = 0;
-            } else {
-                since_best += 1;
-            }
+            state.record(model, train_loss, dev_score(&dev_metrics), cfg.verbose, "");
             if let Some(path) = ckpt {
-                let state = ResumeState {
-                    model_name: model.name().to_owned(),
-                    rng_state: rng.state(),
-                    next_epoch: epoch + 1,
-                    best_epoch,
-                    best_score,
-                    since_best,
-                    history: history.clone(),
-                    best_snap: best_snap.clone(),
-                    optim: model.optim_states(),
-                };
-                let ckpt = Checkpoint::new(model.params(), state.encode());
-                {
-                    let _ckpt_span = dar_obs::span("checkpoint");
-                    serial::save_checkpoint_path(path, &ckpt)?;
-                }
-                dar_obs::event(dar_obs::ObsEvent::CheckpointSaved {
-                    next_epoch: (epoch + 1) as u64,
-                });
-                dar_obs::inc("train.checkpoints_saved");
+                state.save(model, rng, path)?;
             }
         }
-
-        model.restore(&best_snap);
-        let (dev, test) = {
-            let _eval_span = dar_obs::span("eval");
-            (
-                evaluate_model(model, &data.dev, cfg.batch_size),
-                evaluate_model(model, &data.test, cfg.batch_size),
-            )
-        };
-        dar_obs::gauge_set("train.best_epoch", best_epoch as i64);
-        Ok(TrainReport {
-            model_name: model.name().to_owned(),
-            epochs_run: history.len(),
-            best_epoch,
-            history,
-            test,
-            dev,
-        })
+        Ok(state.finish(model, data, cfg.batch_size))
     }
 }
 
-/// Everything beyond the raw parameter tensors that an epoch-boundary
-/// checkpoint must carry for exact resume. Serialized into the opaque
-/// `meta` blob of a [`Checkpoint`].
+/// Model-selection score on dev: accuracy when available (the paper's
+/// early-stopping criterion), else rationale F1.
+pub(crate) fn dev_score(m: &RationaleMetrics) -> f32 {
+    m.acc.unwrap_or(m.f1)
+}
+
+/// The bookkeeping both training loops ([`Trainer`] and
+/// [`crate::GuardedTrainer`]) share: the next epoch, the history, and the
+/// early-stopping state with its best-so-far weights.
+///
+/// An epoch-boundary checkpoint stores it as the `meta` blob of a
+/// [`Checkpoint`], together with the model name, the RNG stream position
+/// and the optimizer states — everything beyond the parameter tensors that
+/// exact resume needs. [`Trainer::fit_resume`] and a guard rollback both
+/// come back through [`RunState::load`].
 #[derive(Debug, Clone)]
-pub(crate) struct ResumeState {
-    pub(crate) model_name: String,
-    pub(crate) rng_state: [u64; 4],
+pub(crate) struct RunState {
     pub(crate) next_epoch: usize,
-    pub(crate) best_epoch: usize,
-    pub(crate) best_score: f32,
-    pub(crate) since_best: usize,
-    pub(crate) history: Vec<EpochLog>,
-    pub(crate) best_snap: Vec<Vec<f32>>,
-    pub(crate) optim: Vec<AdamState>,
+    best_epoch: usize,
+    best_score: f32,
+    since_best: usize,
+    history: Vec<EpochLog>,
+    best_snap: Vec<Vec<f32>>,
 }
 
 /// Bumped whenever the resume metadata layout changes.
 const RESUME_META_VERSION: u32 = 1;
 
-impl ResumeState {
-    pub(crate) fn encode(&self) -> Vec<u8> {
+impl RunState {
+    /// A run that has trained nothing yet; its best weights are the
+    /// initial ones.
+    pub(crate) fn new(model: &dyn RationaleModel) -> Self {
+        RunState {
+            next_epoch: 0,
+            best_epoch: 0,
+            best_score: f32::NEG_INFINITY,
+            since_best: 0,
+            history: Vec::new(),
+            best_snap: model.snapshot(),
+        }
+    }
+
+    /// Whether early stopping's patience has run out.
+    pub(crate) fn patience_spent(&self, patience: Option<usize>) -> bool {
+        patience.is_some_and(|p| self.since_best >= p)
+    }
+
+    /// Record the clean epoch `next_epoch`: its history entry and
+    /// `EpochDone` event, the progress line when `verbose` (the model name
+    /// followed by `tag`), and the best-so-far weights.
+    pub(crate) fn record(
+        &mut self,
+        model: &dyn RationaleModel,
+        train_loss: f32,
+        dev_score: f32,
+        verbose: bool,
+        tag: &str,
+    ) {
+        let epoch = self.next_epoch;
+        self.history.push(EpochLog {
+            epoch,
+            train_loss,
+            dev_score,
+        });
+        dar_obs::event(dar_obs::ObsEvent::EpochDone {
+            epoch: epoch as u64,
+            train_loss,
+            dev_score,
+        });
+        dar_obs::inc("train.epochs");
+        if verbose {
+            println!(
+                "[{}{tag}] epoch {epoch:>3}  loss {train_loss:.4}  dev {dev_score:.4}",
+                model.name()
+            );
+        }
+        if dev_score > self.best_score {
+            self.best_score = dev_score;
+            self.best_epoch = epoch;
+            self.best_snap = model.snapshot();
+            self.since_best = 0;
+        } else {
+            self.since_best += 1;
+        }
+        self.next_epoch = epoch + 1;
+    }
+
+    /// Write the epoch-boundary checkpoint: the model's parameters, this
+    /// state, the RNG position and the optimizer states.
+    pub(crate) fn save(&self, model: &dyn RationaleModel, rng: &Rng, path: &Path) -> DarResult<()> {
+        let meta = self.encode(model.name(), rng.state(), &model.optim_states());
+        {
+            let _ckpt_span = dar_obs::span("checkpoint");
+            serial::save_checkpoint_path(path, &Checkpoint::new(model.params(), meta))?;
+        }
+        dar_obs::event(dar_obs::ObsEvent::CheckpointSaved {
+            next_epoch: self.next_epoch as u64,
+        });
+        dar_obs::inc("train.checkpoints_saved");
+        Ok(())
+    }
+
+    /// Restore `model` (weights, and optimizer states with their learning
+    /// rates scaled by `lr_scale`) and `rng` from the checkpoint at `path`,
+    /// returning the run state it recorded. The checkpoint must have been
+    /// written by a model of the same name.
+    pub(crate) fn load(
+        model: &mut dyn RationaleModel,
+        rng: &mut Rng,
+        path: &Path,
+        lr_scale: f32,
+    ) -> DarResult<Self> {
+        let loaded = serial::load_checkpoint_path(path)?;
+        let (model_name, rng_state, state, mut optim) = Self::decode(&loaded.meta)?;
+        if model_name != model.name() {
+            return Err(DarError::InvalidData(format!(
+                "checkpoint was written by model '{model_name}', resuming '{}'",
+                model.name()
+            )));
+        }
+        serial::restore_into(&loaded.tensors, &model.params())?;
+        for s in &mut optim {
+            s.lr *= lr_scale;
+        }
+        model.restore_optim(&optim)?;
+        *rng = Rng::from_state(rng_state);
+        Ok(state)
+    }
+
+    /// Restore the best weights, evaluate dev and test, and report.
+    pub(crate) fn finish(
+        self,
+        model: &mut dyn RationaleModel,
+        data: &AspectDataset,
+        batch_size: usize,
+    ) -> TrainReport {
+        model.restore(&self.best_snap);
+        let (dev, test) = {
+            let _eval_span = dar_obs::span("eval");
+            (
+                evaluate_model(model, &data.dev, batch_size),
+                evaluate_model(model, &data.test, batch_size),
+            )
+        };
+        dar_obs::gauge_set("train.best_epoch", self.best_epoch as i64);
+        TrainReport {
+            model_name: model.name().to_owned(),
+            epochs_run: self.history.len(),
+            best_epoch: self.best_epoch,
+            history: self.history,
+            test,
+            dev,
+        }
+    }
+
+    fn encode(&self, model_name: &str, rng_state: [u64; 4], optim: &[AdamState]) -> Vec<u8> {
         let mut out = Vec::new();
         codec::put_u32(&mut out, RESUME_META_VERSION);
-        codec::put_str(&mut out, &self.model_name);
-        for w in self.rng_state {
+        codec::put_str(&mut out, model_name);
+        for w in rng_state {
             codec::put_u64(&mut out, w);
         }
         codec::put_u32(&mut out, self.next_epoch as u32);
@@ -285,14 +323,16 @@ impl ResumeState {
         for snap in &self.best_snap {
             codec::put_f32s(&mut out, snap);
         }
-        codec::put_u32(&mut out, self.optim.len() as u32);
-        for state in &self.optim {
+        codec::put_u32(&mut out, optim.len() as u32);
+        for state in optim {
             state.encode(&mut out);
         }
         out
     }
 
-    pub(crate) fn decode(meta: &[u8]) -> DarResult<Self> {
+    /// Inverse of [`Self::encode`]: (model name, RNG state, run state,
+    /// optimizer states).
+    fn decode(meta: &[u8]) -> DarResult<(String, [u64; 4], Self, Vec<AdamState>)> {
         let mut c = codec::Cursor::new(meta);
         let version = c.u32()?;
         if version != RESUME_META_VERSION {
@@ -351,17 +391,15 @@ impl ResumeState {
         for _ in 0..n_opt {
             optim.push(AdamState::decode(&mut c)?);
         }
-        Ok(ResumeState {
-            model_name,
-            rng_state,
+        let state = RunState {
             next_epoch,
             best_epoch,
             best_score,
             since_best,
             history,
             best_snap,
-            optim,
-        })
+        };
+        Ok((model_name, rng_state, state, optim))
     }
 }
 
@@ -369,8 +407,9 @@ impl ResumeState {
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::models::test_support::{max_len, tiny_config, tiny_dataset, tiny_embedding};
+    use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
     use crate::models::Rnp;
+    use crate::pretrain::max_len;
 
     #[test]
     fn fit_produces_history_and_restores_best() {

@@ -111,24 +111,6 @@ impl Batch {
         }
     }
 
-    /// A sub-batch containing rows `range` (padded length unchanged).
-    ///
-    /// Used by sharded gradient accumulation: shard boundaries come from
-    /// `dar_par::shard_range`, so keeping the padded width identical means
-    /// every shard sees the same per-token layout as the full batch.
-    pub fn rows(&self, range: std::ops::Range<usize>) -> Batch {
-        assert!(range.end <= self.len(), "row range {range:?} out of bounds");
-        let l = self.seq_len();
-        let mask = self.mask.values()[range.start * l..range.end * l].to_vec();
-        Batch {
-            ids: self.ids[range.clone()].to_vec(),
-            mask: Tensor::new(mask, &[range.len(), l]),
-            labels: self.labels[range.clone()].to_vec(),
-            rationales: self.rationales[range.clone()].to_vec(),
-            lengths: self.lengths[range].to_vec(),
-        }
-    }
-
     /// Batch size.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -209,30 +191,6 @@ mod tests {
                 first_sentence_end: 1,
             })
             .collect()
-    }
-
-    #[test]
-    fn rows_slices_every_field_and_keeps_padding() {
-        let rs = reviews();
-        let batch = Batch::from_reviews(&rs.iter().collect::<Vec<_>>()).unwrap();
-        let sub = batch.rows(1..4);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.seq_len(), batch.seq_len());
-        assert_eq!(sub.ids, batch.ids[1..4]);
-        assert_eq!(sub.labels, batch.labels[1..4]);
-        assert_eq!(sub.rationales, batch.rationales[1..4]);
-        assert_eq!(sub.lengths, batch.lengths[1..4]);
-        let l = batch.seq_len();
-        assert_eq!(sub.mask.to_vec(), batch.mask.to_vec()[l..4 * l]);
-        assert_eq!(sub.mask.shape(), &[3, l]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn rows_rejects_out_of_range() {
-        let rs = reviews();
-        let batch = Batch::from_reviews(&rs.iter().collect::<Vec<_>>()).unwrap();
-        let _ = batch.rows(3..6);
     }
 
     #[test]

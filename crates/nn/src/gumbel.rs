@@ -145,39 +145,33 @@ mod tests {
     fn extreme_temperature_and_logits_stay_finite_and_binary() {
         // Regression: tau = 1e-6 scales ±40 logits to ±4e7 — well past the
         // range where a naive exp overflows. The sample must still be an
-        // exact one-hot with finite soft-path gradients, under both rails.
-        for rails in [true, false] {
-            crate::numeric::with_guard_rails(rails, || {
-                let mut rng = dar_tensor::rng(11);
-                let logits = Tensor::param(vec![40.0, -40.0, -40.0, 40.0], &[2, 2]);
-                let y = gumbel_softmax_st(&logits, 1e-6, &mut rng);
-                let v = y.to_vec();
-                assert!(
-                    v.iter().all(|&x| x == 0.0 || x == 1.0),
-                    "rails={rails}: non-binary output {v:?}"
-                );
-                assert_eq!(v, vec![1.0, 0.0, 0.0, 1.0], "rails={rails}");
-                y.sum().backward();
-                let g = logits.grad_vec().unwrap();
-                assert!(g.iter().all(|x| x.is_finite()), "rails={rails}: {g:?}");
-            });
-        }
+        // exact one-hot with finite soft-path gradients.
+        let mut rng = dar_tensor::rng(11);
+        let logits = Tensor::param(vec![40.0, -40.0, -40.0, 40.0], &[2, 2]);
+        let y = gumbel_softmax_st(&logits, 1e-6, &mut rng);
+        let v = y.to_vec();
+        assert!(
+            v.iter().all(|&x| x == 0.0 || x == 1.0),
+            "non-binary output {v:?}"
+        );
+        assert_eq!(v, vec![1.0, 0.0, 0.0, 1.0]);
+        y.sum().backward();
+        let g = logits.grad_vec().unwrap();
+        assert!(g.iter().all(|x| x.is_finite()), "{g:?}");
     }
 
     #[test]
     fn denormal_temperature_is_repaired_by_guard_rails() {
         // tau = 1e-45 makes 1/tau overflow to +Inf, so every scaled logit is
-        // ±Inf (or NaN where a logit is ~0). With the rails on the guard
-        // repairs them before softmax and the output is still a one-hot.
-        crate::numeric::with_guard_rails(true, || {
-            let mut rng = dar_tensor::rng(13);
-            let logits = Tensor::new(vec![3.0, -2.0, -1.0, 4.0], &[2, 2]);
-            let y = gumbel_softmax_st(&logits, 1e-45, &mut rng).to_vec();
-            assert!(y.iter().all(|&x| x == 0.0 || x == 1.0), "{y:?}");
-            for row in y.chunks(2) {
-                assert_eq!(row.iter().sum::<f32>(), 1.0);
-            }
-        });
+        // ±Inf (or NaN where a logit is ~0). The guard repairs them before
+        // softmax and the output is still a one-hot.
+        let mut rng = dar_tensor::rng(13);
+        let logits = Tensor::new(vec![3.0, -2.0, -1.0, 4.0], &[2, 2]);
+        let y = gumbel_softmax_st(&logits, 1e-45, &mut rng).to_vec();
+        assert!(y.iter().all(|&x| x == 0.0 || x == 1.0), "{y:?}");
+        for row in y.chunks(2) {
+            assert_eq!(row.iter().sum::<f32>(), 1.0);
+        }
     }
 
     #[test]

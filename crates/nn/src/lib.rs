@@ -11,9 +11,8 @@
 //! * [`TransformerEncoder`] — a small pre-trainable transformer standing in
 //!   for BERT in the Table VI experiment.
 //! * [`loss`] — cross-entropy, KL and JS divergences, accuracy.
-//! * [`numeric`] — default-on guard rails that repair NaN/Inf in the
-//!   hazard-prone layers (disable with `DAR_GUARDRAILS=0` for bit-exact
-//!   raw paths; identical on healthy inputs either way).
+//! * [`numeric`] — always-on guard rails that repair NaN/Inf in the
+//!   hazard-prone layers (the identity on healthy inputs).
 
 pub mod dropout;
 pub mod embedding;
@@ -33,7 +32,7 @@ pub use gru::{BiGru, Gru};
 pub use layer_norm::LayerNorm;
 pub use linear::Linear;
 pub use module::Module;
-pub use numeric::{guard_rails_enabled, set_guard_rails, with_guard_rails};
+pub use numeric::guard_rails_enabled;
 pub use transformer::{TransformerConfig, TransformerEncoder};
 
 pub use dar_tensor::{rng, Rng, Tensor};

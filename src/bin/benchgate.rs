@@ -26,8 +26,6 @@ use dar::obs::json::parse_flat;
 /// `(1 - MAX_THROUGHPUT_DROP)` × baseline.
 const THROUGHPUT_METRICS: &[(&str, &str)] = &[
     ("BENCH_serve.json", "throughput_rps"),
-    ("BENCH_numeric.json", "raw_examples_per_s"),
-    ("BENCH_numeric.json", "guarded_examples_per_s"),
     ("BENCH_obs.json", "on_examples_per_s"),
     ("BENCH_online.json", "throughput_rps"),
     ("BENCH_kernels.json", "gemm_blocked_gflops"),
@@ -187,14 +185,12 @@ fn self_test() {
     std::fs::create_dir_all(&fresh).expect("creating self-test fresh dir");
 
     let serve_base = r#"{"throughput_rps": 1000.0, "p99_us": 10000}"#;
-    let numeric = r#"{"raw_examples_per_s": 500.0, "guarded_examples_per_s": 490.0}"#;
     let obs = r#"{"on_examples_per_s": 480.0}"#;
     let online = r#"{"throughput_rps": 200.0, "p99_us": 8000}"#;
     let recovery = r#"{"replay_records": 20000, "replay_us": 50000}"#;
     let health = r#"{"detection_us": 300000, "hedge_overhead_us": 4000}"#;
     let kernels = r#"{"simd_level": 2, "gemm_blocked_gflops": 60.0, "gru_bptt_blocked_seq_per_s": 12000.0, "softmax_blocked_melem_per_s": 1000.0, "layer_norm_blocked_melem_per_s": 1200.0, "e2e_blocked_examples_per_s": 2000.0, "gemm_speedup": 4.0, "gru_bptt_speedup": 2.5, "e2e_speedup": 1.6}"#;
     std::fs::write(base.join("BENCH_serve.json"), serve_base).expect("writing baseline");
-    std::fs::write(base.join("BENCH_numeric.json"), numeric).expect("writing baseline");
     std::fs::write(base.join("BENCH_obs.json"), obs).expect("writing baseline");
     std::fs::write(base.join("BENCH_online.json"), online).expect("writing baseline");
     std::fs::write(base.join("BENCH_recovery.json"), recovery).expect("writing baseline");
@@ -203,7 +199,6 @@ fn self_test() {
 
     // Identical fresh point: must pass.
     std::fs::write(fresh.join("BENCH_serve.json"), serve_base).expect("writing fresh");
-    std::fs::write(fresh.join("BENCH_numeric.json"), numeric).expect("writing fresh");
     std::fs::write(fresh.join("BENCH_obs.json"), obs).expect("writing fresh");
     std::fs::write(fresh.join("BENCH_online.json"), online).expect("writing fresh");
     std::fs::write(fresh.join("BENCH_recovery.json"), recovery).expect("writing fresh");

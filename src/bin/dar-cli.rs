@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 
 use dar::core::guard::{GuardPolicy, GuardedTrainer, TrainEvent};
+use dar::core::models;
 use dar::data::DatasetStats;
 use dar::prelude::*;
 
@@ -25,7 +26,7 @@ fn main() {
         Some("show") => train(&args[1..], true),
         _ => {
             eprintln!("usage: dar-cli <stats | train MODEL ASPECT | show MODEL ASPECT>");
-            eprintln!("  MODEL:  RNP DAR A2R DMR Inter_RAT CAR 3PLAYER VIB");
+            eprintln!("  MODEL:  RNP DAR A2R DMR Inter_RAT CAR 3PLAYER VIB RNP-os");
             eprintln!("  ASPECT: appearance aroma palate location service cleanliness");
             eprintln!("  flags:  --epochs N  --scale F  --seed N  --sparsity F");
             eprintln!("          --checkpoint-dir DIR   save a durable checkpoint every epoch");
@@ -98,33 +99,6 @@ fn stats() {
     }
 }
 
-fn build(
-    name: &str,
-    cfg: &RationaleConfig,
-    emb: &SharedEmbedding,
-    data: &AspectDataset,
-    rng: &mut dar::Rng,
-) -> Box<dyn RationaleModel> {
-    let ml = pretrain::max_len(data);
-    match name {
-        "RNP" => Box::new(Rnp::new(cfg, emb, ml, rng)),
-        "DAR" => {
-            let disc = pretrain::full_text_predictor(cfg, emb, data, 6, rng);
-            Box::new(Dar::new(cfg, emb, disc, ml, rng))
-        }
-        "A2R" => Box::new(A2r::new(cfg, emb, ml, rng)),
-        "DMR" => Box::new(Dmr::new(cfg, emb, ml, rng)),
-        "Inter_RAT" => Box::new(InterRat::new(cfg, emb, ml, rng)),
-        "CAR" => Box::new(Car::new(cfg, emb, ml, rng)),
-        "3PLAYER" => Box::new(ThreePlayer::new(cfg, emb, ml, rng)),
-        "VIB" => Box::new(Vib::new(cfg, emb, ml, rng)),
-        other => {
-            eprintln!("unknown model '{other}'");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn train(args: &[String], show: bool) {
     let model_name = args.first().cloned().unwrap_or_else(|| {
         eprintln!("missing MODEL");
@@ -169,7 +143,11 @@ fn train(args: &[String], show: bool) {
         data.test.len()
     );
     let emb = SharedEmbedding::pretrained(&data, cfg.emb_dim, &mut rng);
-    let mut model = build(&model_name, &cfg, &emb, &data, &mut rng);
+    let mut model =
+        models::by_name(&model_name, &cfg, &emb, &data, 6, &mut rng).unwrap_or_else(|| {
+            eprintln!("unknown model '{model_name}'");
+            std::process::exit(2);
+        });
     let tcfg = TrainConfig {
         epochs,
         verbose: true,

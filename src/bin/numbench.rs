@@ -1,15 +1,4 @@
-//! `numbench` — guard-rail overhead benchmark for the numeric
-//! containment layer.
-//!
-//! Runs the same seeded training workload twice — once with the dar-nn
-//! guard rails disabled (raw ops) and once with them enabled (the
-//! default) — and records the throughput of each plus the relative
-//! overhead into `results/BENCH_numeric.json`. The containment layer's
-//! budget is < 5% (ROADMAP / DESIGN.md §11); the run exits non-zero
-//! when a healthy machine blows past a generous multiple of it so CI
-//! catches a genuinely quadratic regression without flaking on noise.
-//!
-//! With `--kernels` it instead benchmarks the pluggable kernel backends
+//! `numbench --kernels` — benchmark of the pluggable kernel backends
 //! (DESIGN.md §17): per-kernel best-of-3 throughput for gemm / bmm /
 //! gru_bptt / softmax / layer_norm under `ReferenceKernel` vs
 //! `BlockedKernel`, plus end-to-end training examples/s on both, written
@@ -19,27 +8,17 @@
 //! blocked ≥ 2× reference on gemm and gru_bptt, ≥ 1.3× end to end.
 //!
 //! ```sh
-//! numbench                       # defaults: 60 steps, batch 32, seed 42
-//! numbench --steps 120 --batch 32 --seed 7 --out results
 //! numbench --kernels --out results
 //! ```
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dar::nn::with_guard_rails;
 use dar::prelude::*;
 use dar::tensor::ops::kernel::blocked::simd_level;
 use dar::tensor::ops::rnn::gru_seq;
 use dar::tensor::{kernel_for, with_kernel_backend, Kernel, KernelBackend};
 use dar::Tensor;
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn str_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -49,40 +28,32 @@ fn str_flag(args: &[String], name: &str) -> Option<String> {
 }
 
 /// Examples/second for `steps` optimisation steps on a fresh,
-/// identically-seeded model. The model is rebuilt per run so both
-/// passes traverse the same loss landscape from the same init.
-fn run(
-    data: &dar::data::AspectDataset,
-    steps: usize,
-    batch_size: usize,
-    seed: u64,
-    rails: bool,
-) -> f64 {
-    with_guard_rails(rails, || {
-        let cfg = RationaleConfig {
-            emb_dim: 32,
-            hidden: 32,
-            sparsity: 0.16,
-            ..Default::default()
-        };
-        let ml = pretrain::max_len(data);
-        let mut rng = dar::rng(seed);
-        let emb = SharedEmbedding::random(data.vocab.len(), cfg.emb_dim, &mut rng);
-        let mut model = Rnp::new(&cfg, &emb, ml, &mut rng);
-        let batches: Vec<_> = BatchIter::sequential(&data.train, batch_size).collect();
+/// identically-seeded model. The model is rebuilt per run so every
+/// pass traverses the same loss landscape from the same init.
+fn run(data: &dar::data::AspectDataset, steps: usize, batch_size: usize, seed: u64) -> f64 {
+    let cfg = RationaleConfig {
+        emb_dim: 32,
+        hidden: 32,
+        sparsity: 0.16,
+        ..Default::default()
+    };
+    let ml = pretrain::max_len(data);
+    let mut rng = dar::rng(seed);
+    let emb = SharedEmbedding::random(data.vocab.len(), cfg.emb_dim, &mut rng);
+    let mut model = Rnp::new(&cfg, &emb, ml, &mut rng);
+    let batches: Vec<_> = BatchIter::sequential(&data.train, batch_size).collect();
 
-        // Warm-up: a few untimed steps so allocator and cache state match.
-        for b in batches.iter().cycle().take(4) {
-            model.train_step(b, &mut rng);
-        }
-        let started = Instant::now();
-        for b in batches.iter().cycle().take(steps) {
-            let loss = model.train_step(b, &mut rng);
-            assert!(loss.is_finite(), "benchmark workload diverged");
-        }
-        let secs = started.elapsed().as_secs_f64();
-        (steps * batch_size) as f64 / secs
-    })
+    // Warm-up: a few untimed steps so allocator and cache state match.
+    for b in batches.iter().cycle().take(4) {
+        model.train_step(b, &mut rng);
+    }
+    let started = Instant::now();
+    for b in batches.iter().cycle().take(steps) {
+        let loss = model.train_step(b, &mut rng);
+        assert!(loss.is_finite(), "benchmark workload diverged");
+    }
+    let secs = started.elapsed().as_secs_f64();
+    (steps * batch_size) as f64 / secs
 }
 
 /// Deterministic pseudo-random fill, no RNG dependency.
@@ -199,7 +170,7 @@ fn bench_rows(kern: &'static dyn Kernel, which: &str) -> f64 {
 
 /// End-to-end seeded training throughput under one backend.
 fn bench_e2e(backend: KernelBackend, data: &dar::data::AspectDataset) -> f64 {
-    with_kernel_backend(backend, || best_of(3, || run(data, 30, 32, 42, true)))
+    with_kernel_backend(backend, || best_of(3, || run(data, 30, 32, 42)))
 }
 
 fn kernels_main(out_dir: &std::path::Path) {
@@ -285,61 +256,10 @@ fn kernels_main(out_dir: &std::path::Path) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: numbench [--kernels] [--steps N] [--batch N] [--seed N] [--out DIR]");
+    if !args.iter().any(|a| a == "--kernels") || args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("usage: numbench --kernels [--out DIR]");
         std::process::exit(2);
     }
-    if args.iter().any(|a| a == "--kernels") {
-        let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
-        kernels_main(&out_dir);
-        return;
-    }
-    let steps = flag(&args, "--steps").unwrap_or(60) as usize;
-    let batch_size = flag(&args, "--batch").unwrap_or(32) as usize;
-    let seed = flag(&args, "--seed").unwrap_or(42);
     let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
-
-    let synth = SynthConfig {
-        n_train: 128,
-        n_dev: 16,
-        n_test: 16,
-        ..SynthConfig::beer(Aspect::Aroma)
-    };
-    let data = SynBeer::generate(&synth, &mut dar::rng(seed));
-
-    eprintln!("[numbench] {steps} steps x batch {batch_size}, seed {seed}");
-    // Interleave raw/guarded passes and keep the best of each so a
-    // one-off scheduler hiccup cannot masquerade as rail overhead.
-    let mut raw_eps: f64 = 0.0;
-    let mut guarded_eps: f64 = 0.0;
-    for round in 0..3 {
-        let r = run(&data, steps, batch_size, seed, false);
-        let g = run(&data, steps, batch_size, seed, true);
-        eprintln!("[numbench] round {round}: raw {r:.0} ex/s, guarded {g:.0} ex/s");
-        raw_eps = raw_eps.max(r);
-        guarded_eps = guarded_eps.max(g);
-    }
-    let overhead_pct = (raw_eps / guarded_eps - 1.0) * 100.0;
-
-    eprintln!(
-        "[numbench] raw {raw_eps:.0} ex/s, guarded {guarded_eps:.0} ex/s, \
-         overhead {overhead_pct:.2}% (target < 5%)"
-    );
-
-    std::fs::create_dir_all(&out_dir).expect("creating output dir");
-    let json = format!(
-        "{{\"steps\": {steps}, \"batch_size\": {batch_size}, \"seed\": {seed}, \
-          \"raw_examples_per_s\": {raw_eps:.2}, \
-          \"guarded_examples_per_s\": {guarded_eps:.2}, \
-          \"overhead_pct\": {overhead_pct:.2}, \"target_pct\": 5.0}}\n"
-    );
-    std::fs::write(out_dir.join("BENCH_numeric.json"), json).expect("writing BENCH_numeric.json");
-
-    // Hard-fail only well past the 5% design budget: shared CI boxes are
-    // noisy, and a legitimate rail regression lands far above this line.
-    if overhead_pct > 15.0 {
-        eprintln!("[numbench] FAIL: guard-rail overhead {overhead_pct:.2}% > 15% ceiling");
-        std::process::exit(1);
-    }
-    eprintln!("[numbench] ok");
+    kernels_main(&out_dir);
 }

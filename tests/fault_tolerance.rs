@@ -160,6 +160,63 @@ fn guarded_run_survives_injected_nan_weights() {
     std::fs::remove_file(path).ok();
 }
 
+/// A guard rollback is an exact restore of weights, optimizer moments,
+/// RNG stream and run state: with `lr_decay` 1 and a one-shot NaN loss,
+/// the run rolls back once and ends bit-identical — weights, history and
+/// test metrics — to the same run without the fault.
+#[test]
+fn guard_rollback_is_an_exact_restore() {
+    let (data, cfg, emb) = tiny();
+    let ml = pretrain::max_len(&data);
+    let tcfg = TrainConfig {
+        epochs: 3,
+        batch_size: 32,
+        patience: None,
+        ..Default::default()
+    };
+    let policy = GuardPolicy {
+        lr_decay: 1.0,
+        spike_sigmas: f32::INFINITY,
+        collapse_low: -1.0,
+        collapse_high: 2.0,
+        ..Default::default()
+    };
+    let run = |plan: FaultPlan, tag: &str| {
+        let path = tmpfile(tag);
+        let mut rng = dar::rng(704);
+        let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
+        let mut model = FaultyModel::new(inner, plan);
+        let guarded = GuardedTrainer::new(tcfg, policy)
+            .fit(&mut model, &data, &mut rng, &path)
+            .unwrap();
+        std::fs::remove_file(path).ok();
+        let weights: Vec<Vec<u32>> = model
+            .params()
+            .iter()
+            .map(|p| p.to_vec().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let history: Vec<(usize, u32, u32)> = guarded
+            .report
+            .history
+            .iter()
+            .map(|e| (e.epoch, e.train_loss.to_bits(), e.dev_score.to_bits()))
+            .collect();
+        let test = format!("{:?}", guarded.report.test);
+        (guarded.rollbacks, weights, history, test)
+    };
+    let (rollbacks, weights, history, test) = run(FaultPlan::none(), "exact_clean");
+    assert_eq!(rollbacks, 0);
+    // 96 rows / batch 32 = 3 steps per epoch: step 1 faults in epoch 0,
+    // step 4 in epoch 1.
+    for k in [1, 4] {
+        let (r, w, h, t) = run(FaultPlan::nan_loss_at(k), &format!("exact_{k}"));
+        assert_eq!(r, 1, "step {k}: expected exactly one rollback");
+        assert!(w == weights, "step {k}: weights differ from the clean run");
+        assert_eq!(h, history, "step {k}: history differs from the clean run");
+        assert_eq!(t, test, "step {k}: test metrics differ from the clean run");
+    }
+}
+
 /// A persistent fault exhausts the bounded retry budget and surfaces as a
 /// structured error, not a panic or an infinite loop.
 #[test]

@@ -23,6 +23,7 @@
 //! `DAR_THREADS=1` and `DAR_THREADS=4`, so every comparison here is also
 //! exercised under both ambient pool budgets.
 
+use dar::core::models;
 use dar::data::BatchIter;
 use dar::prelude::*;
 use dar::tensor::ops::rnn::gru_seq;
@@ -297,25 +298,8 @@ fn small_cfg() -> RationaleConfig {
 fn build(name: &str, cfg: &RationaleConfig, data: &AspectDataset) -> Box<dyn RationaleModel> {
     let mut rng = dar::rng(41);
     let emb = SharedEmbedding::random(data.vocab.len(), cfg.emb_dim, &mut rng);
-    let ml = pretrain::max_len(data);
-    match name {
-        "RNP" => Box::new(Rnp::new(cfg, &emb, ml, &mut rng)),
-        "DAR" => {
-            let disc = pretrain::full_text_predictor(cfg, &emb, data, 2, &mut rng);
-            Box::new(Dar::new(cfg, &emb, disc, ml, &mut rng))
-        }
-        "A2R" => Box::new(A2r::new(cfg, &emb, ml, &mut rng)),
-        "DMR" => Box::new(Dmr::new(cfg, &emb, ml, &mut rng)),
-        "Inter_RAT" => Box::new(InterRat::new(cfg, &emb, ml, &mut rng)),
-        "CAR" => Box::new(Car::new(cfg, &emb, ml, &mut rng)),
-        "3PLAYER" => Box::new(ThreePlayer::new(cfg, &emb, ml, &mut rng)),
-        "VIB" => Box::new(Vib::new(cfg, &emb, ml, &mut rng)),
-        "SentenceRNP" => {
-            let splitter = SentenceSplitter::from_vocab(&data.vocab);
-            Box::new(SentenceRnp::new(cfg, &emb, splitter, ml, &mut rng))
-        }
-        other => panic!("unknown model '{other}'"),
-    }
+    models::by_name(name, cfg, &emb, data, 2, &mut rng)
+        .unwrap_or_else(|| panic!("unknown model '{name}'"))
 }
 
 /// Loss and post-step parameter gradients (grads stay attached to the
@@ -355,7 +339,7 @@ fn all_models_step_equivalently_on_both_backends() {
         "CAR",
         "3PLAYER",
         "VIB",
-        "SentenceRNP",
+        "RNP-os",
     ] {
         let (loss_ref, grads_ref) = step_under(KernelBackend::Reference, name, &data);
         let (loss_blk, grads_blk) = step_under(KernelBackend::Blocked, name, &data);

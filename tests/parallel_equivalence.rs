@@ -16,6 +16,7 @@
 //! only survives a thread-budget change between save and resume if the
 //! arithmetic itself is budget-invariant.
 
+use dar::core::models;
 use dar::prelude::*;
 use dar::tensor::optim::AdamState;
 
@@ -41,16 +42,11 @@ fn small_cfg() -> RationaleConfig {
     }
 }
 
-/// `grad_accum_shards: 2` exercises the sharded gradient-accumulation
-/// path on top of the parallel kernels — shard count is part of the
-/// config (a pure function of problem structure), so it is identical
-/// under every thread budget.
 fn two_epochs() -> TrainConfig {
     TrainConfig {
         epochs: 2,
         batch_size: 32,
         patience: None,
-        grad_accum_shards: 2,
         ..Default::default()
     }
 }
@@ -102,25 +98,8 @@ fn fingerprint(model: &dyn RationaleModel, report: &TrainReport) -> RunFingerpri
 fn build(name: &str, cfg: &RationaleConfig, data: &AspectDataset) -> Box<dyn RationaleModel> {
     let mut rng = dar::rng(41);
     let emb = SharedEmbedding::random(data.vocab.len(), cfg.emb_dim, &mut rng);
-    let ml = pretrain::max_len(data);
-    match name {
-        "RNP" => Box::new(Rnp::new(cfg, &emb, ml, &mut rng)),
-        "DAR" => {
-            let disc = pretrain::full_text_predictor(cfg, &emb, data, 2, &mut rng);
-            Box::new(Dar::new(cfg, &emb, disc, ml, &mut rng))
-        }
-        "A2R" => Box::new(A2r::new(cfg, &emb, ml, &mut rng)),
-        "DMR" => Box::new(Dmr::new(cfg, &emb, ml, &mut rng)),
-        "Inter_RAT" => Box::new(InterRat::new(cfg, &emb, ml, &mut rng)),
-        "CAR" => Box::new(Car::new(cfg, &emb, ml, &mut rng)),
-        "3PLAYER" => Box::new(ThreePlayer::new(cfg, &emb, ml, &mut rng)),
-        "VIB" => Box::new(Vib::new(cfg, &emb, ml, &mut rng)),
-        "SentenceRNP" => {
-            let splitter = SentenceSplitter::from_vocab(&data.vocab);
-            Box::new(SentenceRnp::new(cfg, &emb, splitter, ml, &mut rng))
-        }
-        other => panic!("unknown model '{other}'"),
-    }
+    models::by_name(name, cfg, &emb, data, 2, &mut rng)
+        .unwrap_or_else(|| panic!("unknown model '{name}'"))
 }
 
 /// Build the named model fresh and train it for two epochs under the
@@ -152,7 +131,7 @@ fn all_models_train_bit_identically_across_thread_budgets() {
         "CAR",
         "3PLAYER",
         "VIB",
-        "SentenceRNP",
+        "RNP-os",
     ] {
         let serial = train_under(name, 1);
         let parallel = train_under(name, 4);
