@@ -55,7 +55,7 @@ pub use embedder::SharedEmbedding;
 pub use eval::{class_metrics, evaluate_model, ClassMetrics, RationaleMetrics};
 pub use generator::Generator;
 pub use guard::{GuardPolicy, GuardedReport, GuardedTrainer, TrainEvent};
-pub use models::{Inference, RationaleModel};
+pub use models::{Inference, ModelFactory, RationaleModel};
 pub use predictor::Predictor;
 pub use stream::{
     spawn_online_trainer, CandidateMsg, FeedConfig, OnlineTrainer, OnlineTrainerConfig, ReviewFeed,

@@ -119,6 +119,14 @@ pub trait RationaleModel {
     }
 }
 
+/// Builds one model replica, on the thread that will use it (tensors
+/// are not `Send`): each serving worker and the online trainer build
+/// their own from the same closure, so candidate checkpoints match the
+/// serving architecture. It must capture only `Send + Sync` data and be
+/// deterministic for any *frozen* modules the weight swap does not cover
+/// (frozen parts are excluded from `params()` and thus from checkpoints).
+pub type ModelFactory = std::sync::Arc<dyn Fn() -> Box<dyn RationaleModel> + Send + Sync>;
+
 /// Global gradient-norm clip of every optimizer step.
 pub const GRAD_CLIP: f32 = 5.0;
 

@@ -24,7 +24,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dar_data::{BatchIter, Review, SynBeer, SynthConfig};
@@ -34,12 +33,7 @@ use dar_tensor::serial::{self, Checkpoint};
 use dar_tensor::Rng;
 
 use crate::fault::malformed_review;
-use crate::models::RationaleModel;
-
-/// Builds the trainer's model replica on the trainer thread (tensors are
-/// not `Send`). Use the *same* closure as the serving `ModelFactory` so
-/// candidate checkpoints match the serving architecture.
-pub type StreamModelFactory = Arc<dyn Fn() -> Box<dyn RationaleModel> + Send + Sync>;
+use crate::models::{ModelFactory, RationaleModel};
 
 /// Knobs for [`ReviewFeed`].
 #[derive(Debug, Clone, Copy)]
@@ -311,7 +305,7 @@ impl OnlineTrainer {
 /// is structurally unaffected.
 pub fn spawn_online_trainer(
     cfg: OnlineTrainerConfig,
-    factory: StreamModelFactory,
+    factory: ModelFactory,
     feed: FeedConfig,
 ) -> (JoinHandle<()>, mpsc::Receiver<CandidateMsg>) {
     let (tx, rx) = mpsc::channel();

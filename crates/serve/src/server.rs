@@ -46,7 +46,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dar_core::models::RationaleModel;
 use dar_data::Review;
 use dar_obs::ObsEvent;
 
@@ -62,12 +61,7 @@ use crate::request::{Count, Ledger, Pending, ServeError, Ticket, Verdict};
 use crate::supervisor::Supervisor;
 use crate::weights::{WeightSet, WeightStore};
 
-/// Builds one model replica. Called on each worker thread (replicas are
-/// thread-local because tensors are not `Send`), so it must capture only
-/// `Send + Sync` data and must be deterministic for any *frozen* modules
-/// the weight swap does not cover (frozen parts are excluded from
-/// `params()` and thus from checkpoints).
-pub type ModelFactory = Arc<dyn Fn() -> Box<dyn RationaleModel> + Send + Sync>;
+pub use dar_core::ModelFactory;
 
 /// Per-replica counters inside a [`StatsSnapshot`].
 #[derive(Debug, Clone, Default)]

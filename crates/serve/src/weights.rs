@@ -53,6 +53,8 @@ impl WeightSet {
     }
 
     /// Copy this generation into live parameters (a worker replica).
+    /// All or nothing: every shape is checked before any tensor is
+    /// written, so a failed apply leaves the replica on its old weights.
     pub fn apply(&self, params: &[Tensor]) -> DarResult<()> {
         if params.len() != self.values.len() {
             return Err(DarError::InvalidData(format!(
@@ -62,11 +64,7 @@ impl WeightSet {
                 params.len()
             )));
         }
-        for (i, (p, (v, s))) in params
-            .iter()
-            .zip(self.values.iter().zip(&self.shapes))
-            .enumerate()
-        {
+        for (i, (p, s)) in params.iter().zip(&self.shapes).enumerate() {
             if p.shape() != s.as_slice() {
                 return Err(DarError::InvalidData(format!(
                     "weight set v{} tensor {i} is {s:?}, model wants {:?}",
@@ -74,6 +72,8 @@ impl WeightSet {
                     p.shape()
                 )));
             }
+        }
+        for (p, v) in params.iter().zip(&self.values) {
             p.set_values(v.clone());
         }
         Ok(())
@@ -327,6 +327,19 @@ mod tests {
 
         let wrong = vec![Tensor::param(vec![0.0; 6], &[6])];
         assert!(set.apply(&wrong).is_err());
+
+        // Tensor 0 matches, tensor 1 does not: nothing may be written.
+        let half = vec![
+            Tensor::param(vec![0.0; 6], &[2, 3]),
+            Tensor::param(vec![0.0; 4], &[2, 2]),
+        ];
+        assert!(set.apply(&half).is_err());
+        assert_eq!(
+            half[0].to_vec(),
+            vec![0.0; 6],
+            "failed apply wrote tensor 0"
+        );
+        assert_eq!(half[1].to_vec(), vec![0.0; 4]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! # dar-par — deterministic shard-parallel thread pool
 //!
-//! Offline (no crates.io) parallel runtime for the DAR workspace. Design
-//! constraints, in priority order:
+//! Offline (no crates.io) parallel runtime for the DAR workspace. Its one
+//! primitive is a fork-join over a fixed list of shards ([`run_shards`],
+//! [`run_shards_mut`]). Design constraints, in priority order:
 //!
 //! 1. **Determinism.** Work is decomposed into a *fixed* list of shards
 //!    whose count depends only on the problem size (never on the thread
@@ -119,17 +120,8 @@ pub fn shard_range(items: usize, n_shards: usize, idx: usize) -> Range<usize> {
 // Pool
 // ---------------------------------------------------------------------------
 
-/// A unit of helpable work: callers and workers alike drain it by calling
-/// [`Task::help`], which claims shards until none remain.
-trait Task: Send + Sync {
-    fn help(&self);
-    /// True once every shard has been claimed (the queue prunes such
-    /// entries; late poppers return immediately).
-    fn exhausted(&self) -> bool;
-}
-
 struct QueueState {
-    jobs: VecDeque<Arc<dyn Task>>,
+    jobs: VecDeque<Arc<ShardJob>>,
     shutdown: bool,
 }
 
@@ -160,14 +152,14 @@ impl PoolShared {
         }
     }
 
-    /// Enqueue `copies` handles to `task` so up to that many idle workers
+    /// Enqueue `copies` handles to `job` so up to that many idle workers
     /// can help with it. Prunes already-exhausted entries first so stale
     /// handles never accumulate.
-    fn submit(&self, task: &Arc<dyn Task>, copies: usize) {
+    fn submit(&self, job: &Arc<ShardJob>, copies: usize) {
         let mut q = self.queue.lock().unwrap();
         q.jobs.retain(|j| !j.exhausted());
         for _ in 0..copies {
-            q.jobs.push_back(Arc::clone(task));
+            q.jobs.push_back(Arc::clone(job));
         }
         drop(q);
         for _ in 0..copies {
@@ -264,9 +256,8 @@ impl Pool {
         };
 
         let job = Arc::new(unsafe { ShardJob::new(&run_one, n_shards) });
-        let task: Arc<dyn Task> = Arc::clone(&job) as Arc<dyn Task>;
         self.ensure_workers(threads - 1);
-        self.shared.submit(&task, threads - 1);
+        self.shared.submit(&job, threads - 1);
         job.help(); // The caller claims shards too — progress needs no worker.
         job.wait();
         if let Some(payload) = job.take_panic() {
@@ -358,9 +349,9 @@ impl ShardJob {
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.panic.lock().unwrap().take()
     }
-}
 
-impl Task for ShardJob {
+    /// Claim and run shards until none remain. Callers and workers alike
+    /// drain a job this way.
     fn help(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -384,6 +375,8 @@ impl Task for ShardJob {
         }
     }
 
+    /// True once every shard has been claimed (the queue prunes such
+    /// entries; late poppers return immediately).
     fn exhausted(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= self.n
     }
@@ -433,116 +426,6 @@ pub fn run_shards_mut<T: Send, F: Fn(usize, &mut [T]) + Sync>(
         };
         f(i, chunk);
     });
-}
-
-// ---------------------------------------------------------------------------
-// Scoped spawn
-// ---------------------------------------------------------------------------
-
-struct ScopeState {
-    pending: Mutex<VecDeque<Box<dyn FnOnce() + Send>>>,
-    /// Tasks spawned and not yet finished.
-    open: Mutex<usize>,
-    changed: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeState {
-    fn run_pending(&self) {
-        loop {
-            let task = self.pending.lock().unwrap().pop_front();
-            let Some(task) = task else { return };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                let mut slot = self.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut open = self.open.lock().unwrap();
-            *open -= 1;
-            self.changed.notify_all();
-        }
-    }
-}
-
-impl Task for ScopeState {
-    fn help(&self) {
-        self.run_pending();
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pending.lock().unwrap().is_empty()
-    }
-}
-
-/// Handle for spawning tasks inside a [`scope`] call.
-pub struct Scope<'env> {
-    state: Arc<ScopeState>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env> {
-    /// Spawn `task` onto the pool. It may borrow from the enclosing scope
-    /// (`'env`); [`scope`] does not return until it has run. Spawning from
-    /// inside a spawned task (nesting) is allowed.
-    pub fn spawn<F: FnOnce() + Send + 'env>(&self, task: F) {
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(task);
-        // SAFETY: `scope` joins (open == 0) before returning, so the task
-        // cannot outlive 'env even though the queue stores it as 'static.
-        let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(boxed) };
-        {
-            let mut open = self.state.open.lock().unwrap();
-            *open += 1;
-        }
-        self.state.pending.lock().unwrap().push_back(boxed);
-        if max_threads() > 1 {
-            let task: Arc<dyn Task> = Arc::<ScopeState>::clone(&self.state);
-            let pool = Pool::global();
-            pool.ensure_workers(max_threads() - 1);
-            pool.shared.submit(&task, 1);
-        }
-        self.state.changed.notify_all();
-    }
-}
-
-/// Structured-concurrency scope: tasks spawned through the handle may
-/// borrow locals, all of them complete before `scope` returns, and any
-/// panic (in `f` or in a task) is resumed on the caller — after every
-/// already-spawned task has still been joined.
-pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
-    let scope_handle = Scope {
-        state: Arc::new(ScopeState {
-            pending: Mutex::new(VecDeque::new()),
-            open: Mutex::new(0),
-            changed: Condvar::new(),
-            panic: Mutex::new(None),
-        }),
-        _env: std::marker::PhantomData,
-    };
-    let body = catch_unwind(AssertUnwindSafe(|| f(&scope_handle)));
-    // Join: keep helping until every spawned task (including ones spawned
-    // by other tasks mid-flight) has finished.
-    let state = &scope_handle.state;
-    loop {
-        state.run_pending();
-        let open = state.open.lock().unwrap();
-        if *open == 0 {
-            break;
-        }
-        // A worker is still running a task (which may spawn more); wait for
-        // any state change, then loop to drain whatever appeared.
-        drop(state.changed.wait(open).unwrap());
-    }
-    let task_panic = state.panic.lock().unwrap().take();
-    match body {
-        Err(payload) => resume_unwind(payload),
-        Ok(r) => {
-            if let Some(payload) = task_panic {
-                resume_unwind(payload);
-            }
-            r
-        }
-    }
 }
 
 #[cfg(test)]
@@ -639,41 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_scoped_task_propagates_without_hang() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|| panic!("task panic"));
-                    s.spawn(|| {});
-                })
-            })
-        }));
-        assert!(result.is_err(), "scope swallowed a task panic");
-    }
-
-    #[test]
-    fn nested_scoped_spawns_complete() {
-        let counter = AtomicU32::new(0);
-        with_threads(4, || {
-            scope(|outer| {
-                for _ in 0..4 {
-                    let counter = &counter;
-                    outer.spawn(move || {
-                        scope(|inner| {
-                            for _ in 0..4 {
-                                inner.spawn(move || {
-                                    counter.fetch_add(1, Ordering::SeqCst);
-                                });
-                            }
-                        });
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
     fn nested_run_shards_inside_shards_completes() {
         let out = with_threads(4, || {
             run_shards(4, |i| {
@@ -682,19 +530,6 @@ mod tests {
             })
         });
         assert_eq!(out, vec![6, 46, 86, 126]);
-    }
-
-    #[test]
-    fn scoped_tasks_borrow_locals() {
-        let mut results = vec![0usize; 8];
-        with_threads(4, || {
-            scope(|s| {
-                for (i, slot) in results.iter_mut().enumerate() {
-                    s.spawn(move || *slot = i + 1);
-                }
-            });
-        });
-        assert_eq!(results, (1..=8).collect::<Vec<_>>());
     }
 
     #[test]

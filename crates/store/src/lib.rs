@@ -14,11 +14,13 @@
 //! * a **monotonic-generation manifest** ([`Manifest`]) pointing at the
 //!   durable incumbent checkpoint, swapped atomically
 //!   (temp-write → rename → directory fsync);
-//! * a **fault-injectable storage substrate** ([`Storage`],
-//!   [`RealStorage`], [`FaultyStorage`]): seeded short writes, torn
-//!   tails, bit flips, ENOSPC, failed renames, and an
-//!   abort-at-Nth-write crash valve that the chaos harness in
-//!   `tests/crash_recovery.rs` sweeps exhaustively;
+//! * a **fault-injecting storage** ([`FaultyStorage`]) over the
+//!   workspace's storage substrate ([`Storage`], [`RealStorage`],
+//!   [`write_atomic`], re-exported from `dar_tensor::storage`, where
+//!   checkpoint saves use them too): seeded short writes, torn tails,
+//!   bit flips, ENOSPC, failed renames, and an abort-at-Nth-write crash
+//!   valve that the chaos harness in `tests/crash_recovery.rs` sweeps
+//!   exhaustively;
 //! * the **promotion state coordinator** ([`DurableState`]) the online
 //!   loop threads its decisions through, giving exactly-once promotion
 //!   semantics across restarts (DESIGN.md §15 has the argument).
@@ -36,10 +38,8 @@ pub mod state;
 pub mod storage;
 pub mod wal;
 
+pub use dar_tensor::storage::{unique_tmp, write_atomic, RealStorage, Storage};
 pub use manifest::{load_manifest, store_manifest, Manifest};
 pub use state::{DurableState, Recovery, StateRecord, MANIFEST_FILE, WAL_FILE};
-pub use storage::{
-    save_checkpoint_atomic, sweep_orphan_tmps, write_atomic, FaultyStorage, RealStorage, Storage,
-    StorageFaultPlan,
-};
+pub use storage::{sweep_orphan_tmps, FaultyStorage, StorageFaultPlan};
 pub use wal::{Wal, WalReplay};

@@ -8,7 +8,7 @@
 //! crc32 u32 — IEEE CRC-32 of every preceding byte
 //! ```
 //!
-//! The manifest is only ever replaced via [`crate::write_atomic`]
+//! The manifest is only ever replaced via [`write_atomic`]
 //! (temp-write → fsync → rename → directory fsync), so a reader sees
 //! either the old manifest or the new one, never a half-written hybrid.
 //! Because of that, a CRC failure here is *not* a tolerable torn tail
@@ -18,11 +18,9 @@
 
 use std::path::Path;
 
-use dar_tensor::serial::codec;
+use dar_tensor::serial::{codec, crc32};
+use dar_tensor::storage::{write_atomic, Storage};
 use dar_tensor::{DarError, DarResult};
-
-use crate::storage::{write_atomic, Storage};
-use crate::wal::crc32;
 
 const MAGIC: &[u8; 8] = b"DARMAN01";
 
@@ -81,7 +79,7 @@ pub fn load_manifest(storage: &dyn Storage, path: &Path) -> DarResult<Option<Man
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::RealStorage;
+    use dar_tensor::storage::RealStorage;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -103,6 +101,25 @@ mod tests {
         };
         store_manifest(&s, &p, &m).unwrap();
         assert_eq!(load_manifest(&s, &p).unwrap(), Some(m));
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// The manifest layout, byte for byte.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let d = tmpdir("golden");
+        let p = d.join("MANIFEST");
+        let m = Manifest {
+            generation: 2,
+            incumbent: "incumbent_g2.ckpt".to_owned(),
+        };
+        store_manifest(&RealStorage, &p, &m).unwrap();
+        let mut want = b"DARMAN01".to_vec(); // magic
+        want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0]); // generation
+        want.extend_from_slice(&[17, 0, 0, 0]); // incumbent length
+        want.extend_from_slice(b"incumbent_g2.ckpt");
+        want.extend_from_slice(&[0xf9, 0x0f, 0x46, 0xf9]); // CRC-32
+        assert_eq!(std::fs::read(&p).unwrap(), want);
         std::fs::remove_dir_all(&d).ok();
     }
 

@@ -15,7 +15,7 @@
 //! A promotion executes in this order, each step durable before the next:
 //!
 //! 1. copy the candidate checkpoint to `incumbent_g{gen}.ckpt`
-//!    ([`crate::write_atomic`]: temp → fsync → rename → dir fsync);
+//!    ([`write_atomic`]: temp → fsync → rename → dir fsync);
 //! 2. append `Promoted { round, generation, ckpt }` to the WAL and
 //!    fsync — **this append is the commit point**;
 //! 3. swap the manifest to the new generation (atomic);
@@ -36,10 +36,11 @@ use std::sync::Arc;
 
 use dar_obs::ObsEvent;
 use dar_tensor::serial::codec;
+use dar_tensor::storage::{write_atomic, Storage};
 use dar_tensor::{DarError, DarResult};
 
 use crate::manifest::{load_manifest, store_manifest, Manifest};
-use crate::storage::{sweep_orphan_tmps, write_atomic, Storage};
+use crate::storage::sweep_orphan_tmps;
 use crate::wal::Wal;
 
 /// File name of the WAL inside a state dir.
@@ -442,7 +443,8 @@ impl DurableState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{FaultyStorage, RealStorage, StorageFaultPlan};
+    use crate::storage::{FaultyStorage, StorageFaultPlan};
+    use dar_tensor::storage::RealStorage;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dar_store_st_{name}_{}", std::process::id()));

@@ -1,110 +1,27 @@
-//! The storage substrate: a small trait over the filesystem operations
-//! durability needs, a real implementation with full fsync discipline,
-//! and a seeded fault-injecting wrapper for the crash harness.
+//! The fault-injecting side of the storage substrate: a seeded
+//! [`FaultyStorage`] for the crash harness, and the orphan-temp sweep
+//! recovery runs.
 //!
-//! Every mutating operation on [`RealStorage`] is durable when it
-//! returns: appends and whole-file writes `fsync` the file, renames are
-//! followed by a parent-directory `fsync` by the callers that need the
-//! new name durable ([`write_atomic`]). [`FaultyStorage`] wraps the real
+//! The substrate itself — the [`Storage`] trait, [`RealStorage`] and
+//! the one atomic write,
+//! [`write_atomic`](dar_tensor::storage::write_atomic) — lives in
+//! `dar_tensor::storage`, because checkpoint saves run through it too;
+//! this crate re-exports those names. [`FaultyStorage`] wraps the real
 //! thing and injects the failure modes crashed writers and sick disks
 //! produce — short writes, torn tails, bit flips, `ENOSPC`, failed
 //! renames — plus an abort-at-Nth-write crash valve: after `n` mutating
 //! operations every further mutation fails (and the `n`-th write may
 //! tear to a seeded prefix first), which is exactly what a process
-//! killed mid-write leaves behind.
+//! killed mid-write leaves behind. Production checkpoint saves, the
+//! manifest and the WAL all write through the same trait, so every
+//! fault it injects hits the code production runs.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dar_tensor::serial::{save_checkpoint, Checkpoint};
+use dar_tensor::storage::{RealStorage, Storage};
 use dar_tensor::{DarError, DarResult};
-
-/// The filesystem surface the durability layer is written against.
-/// Implementations must make every mutating call durable before
-/// returning `Ok` (or honestly fail); `FaultyStorage` is the one
-/// implementation allowed to lie, and only on purpose.
-pub trait Storage: Send + Sync {
-    /// Append `bytes` to the file at `path` (creating it if absent) and
-    /// fsync the file.
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> DarResult<()>;
-    /// Create/overwrite the file at `path` with `bytes` and fsync it.
-    /// The *name* is not durable until the parent directory is synced.
-    fn write_file_sync(&self, path: &Path, bytes: &[u8]) -> DarResult<()>;
-    fn read(&self, path: &Path) -> DarResult<Vec<u8>>;
-    fn rename(&self, from: &Path, to: &Path) -> DarResult<()>;
-    fn remove(&self, path: &Path) -> DarResult<()>;
-    fn truncate(&self, path: &Path, len: u64) -> DarResult<()>;
-    /// fsync a directory, making renames/creations inside it durable.
-    fn sync_dir(&self, dir: &Path) -> DarResult<()>;
-    fn create_dir_all(&self, dir: &Path) -> DarResult<()>;
-    fn exists(&self, path: &Path) -> bool;
-    /// File names (not full paths) inside `dir`.
-    fn list(&self, dir: &Path) -> DarResult<Vec<String>>;
-}
-
-/// `std::fs` with the fsync discipline the trait demands.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RealStorage;
-
-impl Storage for RealStorage {
-    fn append_sync(&self, path: &Path, bytes: &[u8]) -> DarResult<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    fn write_file_sync(&self, path: &Path, bytes: &[u8]) -> DarResult<()> {
-        let mut f = File::create(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    fn read(&self, path: &Path) -> DarResult<Vec<u8>> {
-        Ok(std::fs::read(path)?)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> DarResult<()> {
-        Ok(std::fs::rename(from, to)?)
-    }
-
-    fn remove(&self, path: &Path) -> DarResult<()> {
-        Ok(std::fs::remove_file(path)?)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> DarResult<()> {
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(len)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    fn sync_dir(&self, dir: &Path) -> DarResult<()> {
-        File::open(dir)?.sync_all()?;
-        Ok(())
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> DarResult<()> {
-        Ok(std::fs::create_dir_all(dir)?)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-
-    fn list(&self, dir: &Path) -> DarResult<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            names.push(entry?.file_name().to_string_lossy().into_owned());
-        }
-        names.sort();
-        Ok(names)
-    }
-}
 
 /// Seeded schedule of storage faults, counted in *mutating operations*
 /// (append, write, rename, truncate, remove) since the wrapper was
@@ -325,51 +242,6 @@ impl Storage for FaultyStorage {
     }
 }
 
-/// Per-process unique temp-file counter: two threads writing the same
-/// destination must never share a temp name (pid alone is not enough).
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// A collision-free sibling temp path for `path`:
-/// `<stem>.tmp.<pid>.<counter>`.
-pub fn unique_tmp(path: &Path) -> PathBuf {
-    let n = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    path.with_extension(format!("tmp.{}.{n}", std::process::id()))
-}
-
-/// Atomically replace the file at `path` with `bytes`, with full fsync
-/// discipline: temp write (fsynced) → rename → parent-directory fsync.
-/// On any failure the destination is untouched and the temp file is
-/// cleaned up best-effort — a partial file is never visible at `path`.
-pub fn write_atomic(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> DarResult<()> {
-    let tmp = unique_tmp(path);
-    let result = (|| {
-        storage.write_file_sync(&tmp, bytes)?;
-        storage.rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            storage.sync_dir(dir)?;
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        storage.remove(&tmp).ok();
-    }
-    result
-}
-
-/// [`write_atomic`] for a checkpoint: serialize (format v2, CRC footer)
-/// in memory, then land it atomically. The storage-trait twin of
-/// `dar_tensor::serial::save_checkpoint_path`, so the crash harness can
-/// drive checkpoint saves through injected faults.
-pub fn save_checkpoint_atomic(
-    storage: &dyn Storage,
-    path: &Path,
-    ckpt: &Checkpoint,
-) -> DarResult<()> {
-    let mut buf = Vec::new();
-    save_checkpoint(&mut buf, ckpt)?;
-    write_atomic(storage, path, &buf)
-}
-
 /// Remove orphaned `*.tmp.*` files a crashed writer left in `dir`.
 /// Returns how many were swept. Called during recovery.
 pub fn sweep_orphan_tmps(storage: &dyn Storage, dir: &Path) -> DarResult<u64> {
@@ -386,25 +258,14 @@ pub fn sweep_orphan_tmps(storage: &dyn Storage, dir: &Path) -> DarResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dar_tensor::storage::{sync_parent, write_atomic};
+    use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dar_store_s_{name}_{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         std::fs::create_dir_all(&d).unwrap();
         d
-    }
-
-    #[test]
-    fn real_storage_appends_and_truncates() {
-        let d = tmpdir("real");
-        let f = d.join("a.log");
-        let s = RealStorage;
-        s.append_sync(&f, b"hello").unwrap();
-        s.append_sync(&f, b" world").unwrap();
-        assert_eq!(s.read(&f).unwrap(), b"hello world");
-        s.truncate(&f, 5).unwrap();
-        assert_eq!(s.read(&f).unwrap(), b"hello");
-        std::fs::remove_dir_all(&d).ok();
     }
 
     #[test]
@@ -425,6 +286,13 @@ mod tests {
             "temp file left behind"
         );
         std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_current_dir() {
+        let s = FaultyStorage::new(StorageFaultPlan::none());
+        sync_parent(&s, Path::new("MANIFEST")).unwrap();
+        assert_eq!(s.op_log(), vec!["sync_dir:."]);
     }
 
     #[test]
@@ -486,14 +354,5 @@ mod tests {
         assert_eq!(sweep_orphan_tmps(&s, &d).unwrap(), 2);
         assert_eq!(s.list(&d).unwrap(), vec!["keep.ckpt".to_string()]);
         std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn unique_tmp_never_collides_across_calls() {
-        let p = Path::new("/x/y/model.ckpt");
-        let a = unique_tmp(p);
-        let b = unique_tmp(p);
-        assert_ne!(a, b, "per-call suffix must be unique");
-        assert!(a.to_string_lossy().contains(".tmp."));
     }
 }

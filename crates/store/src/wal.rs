@@ -7,9 +7,15 @@
 //! frame*: len u32 · crc u32 (IEEE CRC-32 of payload) · payload bytes
 //! ```
 //!
-//! Appends are a single `append_sync` (write + fsync) per frame, so a
-//! crash can only damage the *last* frame: either the frame is whole
-//! and CRC-clean (committed) or the file ends in a torn prefix of it.
+//! The frame CRC is the workspace's one CRC-32
+//! ([`dar_tensor::serial::crc32`]), and creating the file syncs its
+//! parent directory through [`dar_tensor::storage::sync_parent`], so the
+//! log's name survives a crash.
+//!
+//! Every append is a single `append_sync` (write + fsync) of whole
+//! frames ([`Wal::append`] is [`Wal::append_many`] of one payload), so a
+//! crash can only damage the *last* write: either its frames are whole
+//! and CRC-clean (committed) or the file ends in a torn prefix of them.
 //! Replay walks frames until the first bad one — zero/oversized length,
 //! short payload, or CRC mismatch — and reports the byte offset of the
 //! damage; [`Wal::open`] then truncates the file there so the log is
@@ -20,29 +26,15 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dar_tensor::serial::crc32;
+use dar_tensor::storage::{sync_parent, Storage};
 use dar_tensor::{DarError, DarResult};
-
-use crate::storage::Storage;
 
 const MAGIC: &[u8; 8] = b"DARWAL01";
 
 /// Largest admissible frame payload (1 MiB) — state records are tens of
 /// bytes, so anything bigger is corruption, not data.
 pub const MAX_FRAME: usize = 1 << 20;
-
-/// IEEE CRC-32 (reflected, poly 0xEDB88320) — same polynomial as the
-/// checkpoint footer in `dar_tensor::serial`.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// What replay found: the committed payloads, where the clean prefix
 /// ends, and how many trailing bytes were torn garbage.
@@ -87,7 +79,7 @@ impl Wal {
         };
         if !storage.exists(&path) {
             storage.append_sync(&path, MAGIC)?;
-            Self::sync_parent(&*storage, &path)?;
+            sync_parent(&*storage, &path)?;
             return Ok((Wal { storage, path }, replay));
         }
 
@@ -97,7 +89,7 @@ impl Wal {
                 // Torn creation: rewrite the header.
                 storage.truncate(&path, 0)?;
                 storage.append_sync(&path, MAGIC)?;
-                Self::sync_parent(&*storage, &path)?;
+                sync_parent(&*storage, &path)?;
                 replay.torn_bytes = bytes.len() as u64;
                 return Ok((Wal { storage, path }, replay));
             }
@@ -162,28 +154,11 @@ impl Wal {
         Some((payload.to_vec(), end))
     }
 
-    fn sync_parent(storage: &dyn Storage, path: &Path) -> DarResult<()> {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            storage.sync_dir(dir)?;
-        }
-        Ok(())
-    }
-
     /// Append one record as a framed, fsynced write. When this returns
     /// `Ok` the record is committed: replay after any later crash will
     /// yield it.
     pub fn append(&self, payload: &[u8]) -> DarResult<()> {
-        if payload.is_empty() || payload.len() > MAX_FRAME {
-            return Err(DarError::InvalidData(format!(
-                "WAL payload of {} bytes (admissible 1..={MAX_FRAME})",
-                payload.len()
-            )));
-        }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.storage.append_sync(&self.path, &frame)
+        self.append_many([payload])
     }
 
     /// Append many records as one framed write + single fsync — the
@@ -223,7 +198,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::RealStorage;
+    use dar_tensor::storage::RealStorage;
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -235,12 +210,6 @@ mod tests {
 
     fn storage() -> Arc<dyn Storage> {
         Arc::new(RealStorage)
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!   activations, reductions, softmax, gather, structural ops).
 //! * [`init`] — weight initializers.
 //! * [`optim`] — Adam / SGD optimizers with gradient clipping.
+//! * [`serial`] — the checkpoint format (CRC-checked v2) and its codec.
+//! * [`storage`] — the storage substrate and the one atomic write every
+//!   durable file in the workspace goes through.
 //! * [`grad_check`] — finite-difference gradient checking used throughout
 //!   the test suites of downstream crates.
 //! * [`taint`] — opt-in NaN/Inf provenance: with `DAR_TAINT=1` the first
@@ -43,6 +46,7 @@ pub mod ops;
 pub mod optim;
 pub mod serial;
 pub mod shape;
+pub mod storage;
 pub mod taint;
 mod tensor;
 

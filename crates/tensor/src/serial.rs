@@ -10,27 +10,30 @@
 //! ```
 //!
 //! The `meta` section is an opaque blob for the caller (the trainer stores
-//! optimizer/RNG/epoch state there); the CRC footer makes any truncation or
-//! bit flip a loud [`DarError::Corrupt`] instead of silently garbage
-//! weights. [`save_checkpoint_path`] writes to a temp file in the target
-//! directory and atomically renames it over the destination, so a crash
-//! mid-save can never leave a half-written checkpoint under the real name.
+//! optimizer/RNG/epoch state there). One codec reads and writes the format:
+//! a checkpoint is encoded into memory with the [`codec`] helpers and
+//! decoded from the file's bytes. Decoding checks the magic and then the
+//! CRC footer before it reads the version or any other header field, so
+//! any truncation or single-bit flip is a loud [`DarError::Corrupt`]
+//! instead of silently garbage weights. Only version 2 is read; any other
+//! version is rejected. A CRC is not a signature — a hostile file can
+//! carry a valid one — so header fields stay capped ([`MAX_RANK`],
+//! [`MAX_NUMEL`], [`MAX_TENSORS`], [`MAX_META_LEN`]) and cannot OOM the
+//! loader.
 //!
-//! Version-1 files (no meta, no CRC) are still readable; any other version
-//! is rejected. Header fields are capped ([`MAX_RANK`], [`MAX_NUMEL`],
-//! [`MAX_TENSORS`], [`MAX_META_LEN`]) so a hostile or corrupted header
-//! cannot OOM the loader.
+//! Every checkpoint lands through [`save_checkpoint_atomic`], which hands
+//! the encoded bytes to [`write_atomic`]: a crash mid-save can never
+//! leave a half-written checkpoint under the real name.
+//! [`save_checkpoint_path`] is that save on [`RealStorage`].
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::{DarError, DarResult};
+use crate::storage::{write_atomic, RealStorage, Storage};
 use crate::Tensor;
 
 const MAGIC: &[u8; 4] = b"DART";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Largest admissible tensor rank.
 pub const MAX_RANK: usize = 8;
@@ -42,7 +45,8 @@ pub const MAX_TENSORS: usize = 1 << 16;
 pub const MAX_META_LEN: usize = 1 << 26;
 
 /// Little-endian scalar encode/decode helpers, shared by the checkpoint
-/// format and by downstream metadata encoders (the trainer's resume state).
+/// format and by downstream encoders (the trainer's resume state, the
+/// WAL records and the manifest of `dar-store`).
 pub mod codec {
     use super::*;
 
@@ -97,7 +101,7 @@ pub mod codec {
                 .checked_add(n)
                 .filter(|&e| e <= self.buf.len())
                 .ok_or_else(|| {
-                    DarError::InvalidData(format!("metadata truncated at byte {}", self.pos))
+                    DarError::InvalidData(format!("record truncated at byte {}", self.pos))
                 })?;
             let s = &self.buf[self.pos..end];
             self.pos = end;
@@ -128,7 +132,12 @@ pub mod codec {
                     "metadata vector of {n} floats"
                 )));
             }
-            let bytes = self.take(n * 4)?;
+            self.f32_n(n)
+        }
+
+        /// `n` floats without a length prefix; the caller bounds `n`.
+        pub(crate) fn f32_n(&mut self, n: usize) -> DarResult<Vec<f32>> {
+            let bytes = self.take(n.saturating_mul(4))?;
             Ok(bytes
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -154,8 +163,10 @@ pub mod codec {
     }
 }
 
-/// IEEE CRC-32 (reflected, poly 0xEDB88320), bytewise.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+/// IEEE CRC-32 (reflected, poly 0xEDB88320), bytewise: the checkpoint
+/// footer, the WAL frames and the manifest of `dar-store` all use it.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= b as u32;
         for _ in 0..8 {
@@ -163,85 +174,7 @@ fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
-    crc
-}
-
-/// Running CRC over everything written.
-struct CrcWriter<W: Write> {
-    inner: W,
-    crc: u32,
-}
-
-impl<W: Write> CrcWriter<W> {
-    fn new(inner: W) -> Self {
-        CrcWriter {
-            inner,
-            crc: 0xFFFF_FFFF,
-        }
-    }
-
-    fn digest(&self) -> u32 {
-        self.crc ^ 0xFFFF_FFFF
-    }
-}
-
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc = crc32_update(self.crc, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Running CRC over everything read.
-struct CrcReader<R: Read> {
-    inner: R,
-    crc: u32,
-}
-
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> Self {
-        CrcReader {
-            inner,
-            crc: 0xFFFF_FFFF,
-        }
-    }
-
-    fn digest(&self) -> u32 {
-        self.crc ^ 0xFFFF_FFFF
-    }
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc = crc32_update(self.crc, &buf[..n]);
-        Ok(n)
-    }
-}
-
-fn write_u32(w: &mut impl Write, v: u32) -> DarResult<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-fn read_u32(r: &mut impl Read) -> DarResult<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf).map_err(truncation)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-/// An unexpected EOF while parsing is corruption, not a plain I/O error.
-fn truncation(e: std::io::Error) -> DarError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        DarError::Corrupt("file ends mid-record (truncated)".to_owned())
-    } else {
-        DarError::Io(e)
-    }
+    crc ^ 0xFFFF_FFFF
 }
 
 /// Tensors plus an opaque caller-owned metadata blob.
@@ -257,30 +190,76 @@ impl Checkpoint {
     }
 }
 
-fn write_tensor_block(w: &mut impl Write, tensors: &[Tensor]) -> DarResult<()> {
-    write_u32(w, tensors.len() as u32)?;
-    for t in tensors {
-        write_u32(w, t.shape().len() as u32)?;
+/// Encode a checkpoint as format v2, CRC footer included.
+fn encode(ckpt: &Checkpoint) -> DarResult<Vec<u8>> {
+    if ckpt.meta.len() > MAX_META_LEN {
+        return Err(DarError::InvalidData(format!(
+            "metadata blob of {} bytes (cap {MAX_META_LEN})",
+            ckpt.meta.len()
+        )));
+    }
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    codec::put_u32(&mut out, VERSION);
+    codec::put_bytes(&mut out, &ckpt.meta);
+    codec::put_u32(&mut out, ckpt.tensors.len() as u32);
+    for t in &ckpt.tensors {
+        codec::put_u32(&mut out, t.shape().len() as u32);
         for &d in t.shape() {
-            write_u32(w, d as u32)?;
+            codec::put_u32(&mut out, d as u32);
         }
         for &v in t.values().iter() {
-            w.write_all(&v.to_le_bytes())?;
+            codec::put_f32(&mut out, v);
         }
     }
-    Ok(())
+    let crc = crc32(&out);
+    codec::put_u32(&mut out, crc);
+    Ok(out)
 }
 
-fn read_tensor_block(r: &mut impl Read) -> DarResult<Vec<Tensor>> {
-    let count = read_u32(r)? as usize;
+/// Decode the bytes of a v2 checkpoint file. Magic and CRC come first, so
+/// damage is always [`DarError::Corrupt`]; a CRC-clean file with an
+/// unknown version or an over-cap header field is
+/// [`DarError::InvalidData`]. Never returns garbage weights.
+fn decode(bytes: &[u8]) -> DarResult<Checkpoint> {
+    let (body, footer) = match bytes.len().checked_sub(4) {
+        Some(n) if n >= MAGIC.len() => bytes.split_at(n),
+        _ => {
+            return Err(DarError::Corrupt(
+                "file ends mid-record (truncated)".to_owned(),
+            ))
+        }
+    };
+    if &body[..MAGIC.len()] != MAGIC {
+        return Err(DarError::Corrupt(
+            "not a DART checkpoint (bad magic)".to_owned(),
+        ));
+    }
+    let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
+    let computed = crc32(body);
+    if computed != stored {
+        return Err(DarError::Corrupt(format!(
+            "CRC-32 mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
+    }
+
+    let mut c = codec::Cursor::new(&body[MAGIC.len()..]);
+    let version = c.u32()?;
+    if version != VERSION {
+        return Err(DarError::InvalidData(format!(
+            "unsupported checkpoint version {version}"
+        )));
+    }
+    let meta = c.bytes()?;
+    let count = c.u32()? as usize;
     if count > MAX_TENSORS {
         return Err(DarError::InvalidData(format!(
             "checkpoint claims {count} tensors (cap {MAX_TENSORS})"
         )));
     }
-    let mut out = Vec::with_capacity(count);
+    let mut tensors = Vec::with_capacity(count);
     for i in 0..count {
-        let rank = read_u32(r)? as usize;
+        let rank = c.u32()? as usize;
         if rank > MAX_RANK {
             return Err(DarError::InvalidData(format!(
                 "tensor {i} claims rank {rank} (cap {MAX_RANK})"
@@ -289,7 +268,7 @@ fn read_tensor_block(r: &mut impl Read) -> DarResult<Vec<Tensor>> {
         let mut shape = Vec::with_capacity(rank);
         let mut n: usize = 1;
         for _ in 0..rank {
-            let d = read_u32(r)? as usize;
+            let d = c.u32()? as usize;
             n = n
                 .checked_mul(d)
                 .filter(|&n| n <= MAX_NUMEL)
@@ -300,145 +279,37 @@ fn read_tensor_block(r: &mut impl Read) -> DarResult<Vec<Tensor>> {
                 })?;
             shape.push(d);
         }
-        let mut bytes = vec![0u8; n * 4];
-        r.read_exact(&mut bytes).map_err(truncation)?;
-        let values = bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        out.push(Tensor::new(values, &shape));
+        tensors.push(Tensor::new(c.f32_n(n)?, &shape));
     }
-    Ok(out)
-}
-
-/// Serialize a checkpoint (format v2, CRC-32 footer) to a writer.
-pub fn save_checkpoint(w: &mut impl Write, ckpt: &Checkpoint) -> DarResult<()> {
-    if ckpt.meta.len() > MAX_META_LEN {
-        return Err(DarError::InvalidData(format!(
-            "metadata blob of {} bytes (cap {MAX_META_LEN})",
-            ckpt.meta.len()
-        )));
-    }
-    let mut cw = CrcWriter::new(w);
-    cw.write_all(MAGIC)?;
-    write_u32(&mut cw, VERSION_V2)?;
-    write_u32(&mut cw, ckpt.meta.len() as u32)?;
-    cw.write_all(&ckpt.meta)?;
-    write_tensor_block(&mut cw, &ckpt.tensors)?;
-    let crc = cw.digest();
-    write_u32(&mut cw.inner, crc)?;
-    Ok(())
-}
-
-/// Deserialize a checkpoint saved by [`save_checkpoint`] (v2) or the legacy
-/// v1 tensor format. Unknown versions and integrity failures are errors —
-/// this function never returns garbage weights.
-pub fn load_checkpoint(r: &mut impl Read) -> DarResult<Checkpoint> {
-    let mut cr = CrcReader::new(r);
-    let mut magic = [0u8; 4];
-    cr.read_exact(&mut magic).map_err(truncation)?;
-    if &magic != MAGIC {
-        return Err(DarError::Corrupt(
-            "not a DART checkpoint (bad magic)".to_owned(),
+    if !c.is_empty() {
+        return Err(DarError::InvalidData(
+            "trailing bytes after the tensor block".to_owned(),
         ));
     }
-    let version = read_u32(&mut cr)?;
-    match version {
-        VERSION_V1 => {
-            // Legacy: bare tensor block, no meta, no CRC footer.
-            let tensors = read_tensor_block(&mut cr)?;
-            Ok(Checkpoint {
-                tensors,
-                meta: Vec::new(),
-            })
-        }
-        VERSION_V2 => {
-            let meta_len = read_u32(&mut cr)? as usize;
-            if meta_len > MAX_META_LEN {
-                return Err(DarError::InvalidData(format!(
-                    "metadata blob of {meta_len} bytes (cap {MAX_META_LEN})"
-                )));
-            }
-            let mut meta = vec![0u8; meta_len];
-            cr.read_exact(&mut meta).map_err(truncation)?;
-            let tensors = read_tensor_block(&mut cr)?;
-            let computed = cr.digest();
-            let stored = read_u32(&mut cr.inner)?;
-            if computed != stored {
-                return Err(DarError::Corrupt(format!(
-                    "CRC-32 mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )));
-            }
-            Ok(Checkpoint { tensors, meta })
-        }
-        other => Err(DarError::InvalidData(format!(
-            "unsupported checkpoint version {other}"
-        ))),
-    }
+    Ok(Checkpoint { tensors, meta })
 }
 
-/// Serialize tensors (values + shapes, empty metadata) to a writer.
-pub fn save_tensors(w: &mut impl Write, tensors: &[Tensor]) -> DarResult<()> {
-    save_checkpoint(
-        w,
-        &Checkpoint {
-            tensors: tensors.to_vec(),
-            meta: Vec::new(),
-        },
-    )
+/// Atomically save a checkpoint through `storage`: the v2 bytes go to a
+/// sibling temp file (per-call unique name), which is fsynced, renamed
+/// over `path`, and the parent directory fsynced ([`write_atomic`]), so
+/// readers never observe a partially written checkpoint at `path` and a
+/// crash after return cannot lose the rename.
+pub fn save_checkpoint_atomic(
+    storage: &dyn Storage,
+    path: &Path,
+    ckpt: &Checkpoint,
+) -> DarResult<()> {
+    write_atomic(storage, path, &encode(ckpt)?)
 }
 
-/// Deserialize the tensors of a checkpoint. Returned tensors are plain
-/// leaves; use [`load_into`] to restore a live parameter set.
-pub fn load_tensors(r: &mut impl Read) -> DarResult<Vec<Tensor>> {
-    Ok(load_checkpoint(r)?.tensors)
-}
-
-/// Per-process temp-file counter: concurrent saves targeting the same
-/// destination must never share a temp name (the pid alone is not enough).
-static TMP_SUFFIX: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// fsync the parent directory of `path`, making a rename into it durable.
-/// A rename is only crash-safe once the directory entry itself is synced;
-/// without this, "successfully saved" files can vanish on power loss.
-pub fn sync_parent_dir(path: impl AsRef<Path>) -> DarResult<()> {
-    let parent = match path.as_ref().parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    File::open(parent)?.sync_all()?;
-    Ok(())
-}
-
-/// Atomically save a checkpoint to a file path: the bytes are written to a
-/// sibling temp file (per-call unique name), fsynced, renamed over the
-/// destination, and the parent directory is fsynced, so readers never
-/// observe a partially written checkpoint at `path` and a crash after
-/// return cannot lose the rename.
+/// [`save_checkpoint_atomic`] on the real filesystem.
 pub fn save_checkpoint_path(path: impl AsRef<Path>, ckpt: &Checkpoint) -> DarResult<()> {
-    let path = path.as_ref();
-    let n = TMP_SUFFIX.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{n}", std::process::id()));
-    let result = (|| {
-        let file = File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        save_checkpoint(&mut w, ckpt)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    result
+    save_checkpoint_atomic(&RealStorage, path.as_ref(), ckpt)
 }
 
 /// Load a checkpoint from a file path.
 pub fn load_checkpoint_path(path: impl AsRef<Path>) -> DarResult<Checkpoint> {
-    let mut r = BufReader::new(File::open(path)?);
-    load_checkpoint(&mut r)
+    decode(&std::fs::read(path)?)
 }
 
 /// Save a parameter list to a file path (atomic, empty metadata).
@@ -494,10 +365,26 @@ mod tests {
         p
     }
 
-    fn save_to_vec(ckpt: &Checkpoint) -> Vec<u8> {
-        let mut buf = Vec::new();
-        save_checkpoint(&mut buf, ckpt).unwrap();
-        buf
+    /// `body` followed by its CRC-32 footer: a header that passes the
+    /// integrity check, so the checks behind it are what is exercised.
+    fn with_crc(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    /// Magic, version 2 and an empty metadata blob.
+    fn v2_header() -> Vec<u8> {
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&VERSION.to_le_bytes());
+        data.extend_from_slice(&0u32.to_le_bytes());
+        data
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // CRC-32 of "123456789" is the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -517,64 +404,105 @@ mod tests {
     #[test]
     fn meta_roundtrips() {
         let ckpt = Checkpoint::new(vec![Tensor::zeros(&[2])], b"trainer state".to_vec());
-        let buf = save_to_vec(&ckpt);
-        let back = load_checkpoint(&mut buf.as_slice()).unwrap();
+        let back = decode(&encode(&ckpt).unwrap()).unwrap();
         assert_eq!(back.meta, b"trainer state");
         assert_eq!(back.tensors.len(), 1);
     }
 
+    /// The v2 layout, byte for byte: a change here would make existing
+    /// checkpoints unreadable or silently different.
+    #[test]
+    fn v2_encoding_is_pinned() {
+        let ckpt = Checkpoint::new(
+            vec![
+                Tensor::new(vec![1.0, -2.0], &[2]),
+                Tensor::new(vec![0.5], &[1, 1]),
+            ],
+            b"ab".to_vec(),
+        );
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            b'D', b'A', b'R', b'T',                 // magic
+            2, 0, 0, 0,                             // version
+            2, 0, 0, 0, b'a', b'b',                 // meta_len, meta
+            2, 0, 0, 0,                             // tensor count
+            1, 0, 0, 0, 2, 0, 0, 0,                 // rank 1, dims [2]
+            0, 0, 0x80, 0x3f, 0, 0, 0, 0xc0,        // 1.0, -2.0
+            2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0,     // rank 2, dims [1, 1]
+            0, 0, 0, 0x3f,                          // 0.5
+            0xf6, 0xf5, 0xa7, 0x0b,                 // CRC-32
+        ];
+        assert_eq!(encode(&ckpt).unwrap(), want);
+    }
+
     #[test]
     fn rejects_wrong_magic() {
-        let mut data: &[u8] = b"NOPE\x01\x00\x00\x00";
-        assert!(matches!(load_tensors(&mut data), Err(DarError::Corrupt(_))));
+        assert!(matches!(
+            decode(b"NOPE\x01\x00\x00\x00"),
+            Err(DarError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn rejects_unknown_version() {
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&7u32.to_le_bytes());
-        data.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            load_tensors(&mut data.as_slice()),
-            Err(DarError::InvalidData(msg)) if msg.contains("version 7")
-        ));
+        // A real version-1 file (no metadata, no footer) fails the CRC.
+        let mut v1 = MAGIC.to_vec();
+        for field in [1u32, 1, 1, 2] {
+            v1.extend_from_slice(&field.to_le_bytes()); // version, count, rank, dim
+        }
+        v1.extend_from_slice(&[0; 8]); // two f32 values
+        assert!(matches!(decode(&v1), Err(DarError::Corrupt(_))));
+
+        // A CRC-clean header naming any version but 2 is unsupported.
+        for version in [1u32, 7] {
+            let mut body = MAGIC.to_vec();
+            body.extend_from_slice(&version.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes());
+            let want = format!("version {version}");
+            assert!(matches!(
+                decode(&with_crc(body)),
+                Err(DarError::InvalidData(msg)) if msg.contains(&want)
+            ));
+        }
     }
 
     #[test]
     fn rejects_hostile_rank_and_dims() {
         // rank beyond the cap
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&VERSION_V1.to_le_bytes());
+        let mut data = v2_header();
         data.extend_from_slice(&1u32.to_le_bytes()); // count
         data.extend_from_slice(&u32::MAX.to_le_bytes()); // rank
         assert!(matches!(
-            load_tensors(&mut data.as_slice()),
+            decode(&with_crc(data)),
             Err(DarError::InvalidData(_))
         ));
 
         // dims whose product would OOM
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&VERSION_V1.to_le_bytes());
+        let mut data = v2_header();
         data.extend_from_slice(&1u32.to_le_bytes()); // count
         data.extend_from_slice(&3u32.to_le_bytes()); // rank
         for _ in 0..3 {
             data.extend_from_slice(&100_000u32.to_le_bytes());
         }
         assert!(matches!(
-            load_tensors(&mut data.as_slice()),
+            decode(&with_crc(data)),
             Err(DarError::InvalidData(_))
         ));
 
         // hostile tensor count
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&VERSION_V1.to_le_bytes());
+        let mut data = v2_header();
         data.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            load_tensors(&mut data.as_slice()),
+            decode(&with_crc(data)),
+            Err(DarError::InvalidData(_))
+        ));
+
+        // hostile metadata length
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&VERSION.to_le_bytes());
+        data.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&with_crc(data)),
             Err(DarError::InvalidData(_))
         ));
     }
@@ -582,11 +510,11 @@ mod tests {
     #[test]
     fn truncation_is_corrupt_not_garbage() {
         let ckpt = Checkpoint::new(vec![Tensor::param(vec![1.0; 10], &[10])], vec![1, 2, 3]);
-        let buf = save_to_vec(&ckpt);
-        for keep in [1, 4, 9, buf.len() / 2, buf.len() - 1] {
-            let err = load_checkpoint(&mut &buf[..keep]).unwrap_err();
+        let buf = encode(&ckpt).unwrap();
+        for keep in 0..buf.len() {
+            let err = decode(&buf[..keep]).unwrap_err();
             assert!(
-                matches!(err, DarError::Corrupt(_) | DarError::InvalidData(_)),
+                matches!(err, DarError::Corrupt(_)),
                 "prefix of {keep} bytes gave {err:?}"
             );
         }
@@ -594,33 +522,33 @@ mod tests {
 
     #[test]
     fn bitflip_fails_crc() {
-        let ckpt = Checkpoint::new(vec![Tensor::param(vec![0.5; 8], &[2, 4])], vec![9; 16]);
-        let buf = save_to_vec(&ckpt);
-        // Flip one bit in every byte position; all must fail to load.
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x10;
-            assert!(
-                load_checkpoint(&mut bad.as_slice()).is_err(),
-                "bit flip at byte {i} went undetected"
-            );
+        // Two tensors and no metadata (80 bytes), then one tensor with a
+        // metadata blob: every single-bit flip, header fields included,
+        // must load as `Corrupt`.
+        let ckpts = [
+            Checkpoint::new(
+                vec![
+                    Tensor::param(vec![0.5; 6], &[2, 3]),
+                    Tensor::param(vec![-1.0; 4], &[4]),
+                ],
+                Vec::new(),
+            ),
+            Checkpoint::new(vec![Tensor::param(vec![0.5; 8], &[2, 4])], vec![9; 16]),
+        ];
+        for ckpt in &ckpts {
+            let buf = encode(ckpt).unwrap();
+            for i in 0..buf.len() {
+                for bit in 0..8 {
+                    let mut bad = buf.clone();
+                    bad[i] ^= 1 << bit;
+                    let got = decode(&bad);
+                    assert!(
+                        matches!(got, Err(DarError::Corrupt(_))),
+                        "flip of bit {bit} at byte {i} gave {got:?}"
+                    );
+                }
+            }
         }
-    }
-
-    #[test]
-    fn legacy_v1_still_loads() {
-        let t = Tensor::param(vec![1.0, 2.0], &[2]);
-        let mut data = Vec::new();
-        data.extend_from_slice(MAGIC);
-        data.extend_from_slice(&VERSION_V1.to_le_bytes());
-        data.extend_from_slice(&1u32.to_le_bytes()); // count
-        data.extend_from_slice(&1u32.to_le_bytes()); // rank
-        data.extend_from_slice(&2u32.to_le_bytes()); // dim
-        for v in t.to_vec() {
-            data.extend_from_slice(&v.to_le_bytes());
-        }
-        let loaded = load_tensors(&mut data.as_slice()).unwrap();
-        assert_eq!(loaded[0].to_vec(), vec![1.0, 2.0]);
     }
 
     #[test]

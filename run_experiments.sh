@@ -10,7 +10,11 @@ PROFILE="${DAR_PROFILE:-quick}"
 export DAR_PROFILE="$PROFILE"
 OUT="results"
 mkdir -p "$OUT"
-for exp in table2 fig3b_table1 fig6 table8 table3 table7 fig3a table5 ablations table6; do
+# Every bench binary is one table or figure, except parspeed, the
+# thread-scaling bench (DESIGN.md §9), which writes its own report.
+for src in crates/bench/src/bin/*.rs; do
+  exp=$(basename "$src" .rs)
+  [ "$exp" = parspeed ] && continue
   echo "=== running $exp (profile $PROFILE) ==="
   ./target/release/$exp > "$OUT/$exp.txt" 2>&1
   echo "    done: $OUT/$exp.txt"

@@ -5,8 +5,8 @@
 use dar::core::fault::{self, FaultPlan, FaultyModel};
 use dar::core::guard::{GuardPolicy, GuardReason, GuardedTrainer, TrainEvent};
 use dar::prelude::*;
-use dar::store::{save_checkpoint_atomic, FaultyStorage, RealStorage, Storage, StorageFaultPlan};
-use dar::tensor::serial::{self, Checkpoint};
+use dar::store::{FaultyStorage, RealStorage, Storage, StorageFaultPlan};
+use dar::tensor::serial::{self, save_checkpoint_atomic, Checkpoint};
 use dar::tensor::{DarError, Tensor};
 use proptest::prelude::*;
 
@@ -266,7 +266,9 @@ fn small_checkpoint(value: f32) -> Checkpoint {
 /// A checkpoint save through a disk that fails — `ENOSPC`, a short
 /// write, a failed rename — must surface a typed error and leave the
 /// destination byte-identical to what was there before: no partial
-/// file, no temp dropping masquerading as the real thing.
+/// file, no temp dropping masquerading as the real thing. Every
+/// production checkpoint save (`serial::save_checkpoint_path`) is this
+/// same function on `RealStorage`.
 #[test]
 fn injected_storage_faults_never_leave_a_partial_checkpoint() {
     let d = tmpdir("inject");
