@@ -5,10 +5,12 @@
 #
 # Every check is a named, individually-timed stage. A full run writes
 # results/ci_report.json (stage -> status/duration) and always ends with
-# a summary table, pass or fail.
+# a summary table, pass or fail. A one-stage run writes its report to
+# target/ci_report.json instead, so it never overwrites the committed
+# full-run report.
 #
 #   ./ci.sh                   # full gate
-#   ./ci.sh --stage clippy    # one stage, same report/table machinery
+#   ./ci.sh --stage clippy    # one stage, same table; report under target/
 #   ./ci.sh --list            # stage names
 #   ./ci.sh --timings         # also print the three slowest stages
 #
@@ -20,7 +22,7 @@
 # committed at HEAD; DAR_BENCHGATE=off skips that comparison for machines
 # whose absolute throughput is incomparable to the committed baseline.
 #
-# DAR_CI_REPORT overrides the report path (default results/ci_report.json);
+# DAR_CI_REPORT overrides the report path of either kind of run;
 # DAR_CI_SELFTEST=1 exposes a deliberately failing fake stage so the
 # report machinery itself can be regression-tested (tests/ci_report.rs).
 set -uo pipefail
@@ -30,7 +32,7 @@ cd "$(dirname "$0")"
 
 st_fmt() { cargo fmt --all -- --check; }
 
-st_clippy() { cargo clippy --all-targets -- -D warnings; }
+st_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 
 st_build() { cargo build --release; }
 
@@ -244,6 +246,8 @@ done
 ONLY=""
 case "${1:-}" in
     --stage)
+        # Set before anything can exit: the EXIT trap writes the report.
+        REPORT_PATH="${DAR_CI_REPORT:-target/ci_report.json}"
         ONLY="${2:?usage: ci.sh --stage <name>}"
         if [[ ! " ${STAGE_NAMES[*]} " == *" $ONLY "* ]]; then
             echo "ci.sh: unknown stage '$ONLY' (try --list)"

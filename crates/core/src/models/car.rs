@@ -213,8 +213,8 @@ mod tests {
         let mut rng = dar_tensor::rng(82);
         let gen = ClassConditionalGenerator::new(&cfg, &emb, max_len(&data), &mut rng);
         let batch = BatchIter::sequential(&data.test, 8).next().unwrap();
-        let z0 = gen.sample_mask(&batch, &vec![0; 8], None).to_vec();
-        let z1 = gen.sample_mask(&batch, &vec![1; 8], None).to_vec();
+        let z0 = gen.sample_mask(&batch, &[0; 8], None).to_vec();
+        let z1 = gen.sample_mask(&batch, &[1; 8], None).to_vec();
         // Untrained heads are random, so the two class-pairs almost surely
         // select differently somewhere.
         assert_ne!(z0, z1, "class conditioning had no effect");

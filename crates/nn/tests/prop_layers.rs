@@ -100,7 +100,7 @@ proptest! {
         let ab = js_div_logits(&ta, &tb).item();
         let ba = js_div_logits(&tb, &ta).item();
         prop_assert!((ab - ba).abs() < 1e-5);
-        prop_assert!(ab >= -1e-6 && ab <= std::f32::consts::LN_2 + 1e-5);
+        prop_assert!((-1e-6..=std::f32::consts::LN_2 + 1e-5).contains(&ab));
     }
 
     /// Accuracy is invariant to positive rescaling of logits.

@@ -145,10 +145,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    pub fn policy(&self) -> &BreakerPolicy {
-        &self.policy
-    }
-
     /// Transition log since construction.
     pub fn events(&self) -> &[BreakerEvent] {
         &self.events

@@ -1,18 +1,15 @@
-//! Canary evaluation: the promotion state machine's comparison contract.
+//! Canary evaluation (DESIGN.md §13): the comparison contract and the
+//! one in-progress run.
 //!
 //! A candidate generation serves a deterministic slice of traffic
-//! (requests whose submission sequence number satisfies
-//! `seq % slice_modulus == 0`) while the incumbent serves the rest. Both
-//! arms accumulate *commutative* counts — correct labels, rationale
-//! confusion cells, degraded/fault/error tallies — against the planted
-//! ground truth each [`Review`] carries, so the verdict is independent
-//! of worker interleaving and thread budget. The pure [`decide`]
-//! function turns one [`CanarySnapshot`] into promote-or-rollback;
-//! the server applies it atomically (DESIGN.md §13).
-//!
-//! Wall-clock latency is the one non-deterministic signal, so the p99
-//! gate is opt-in ([`CanaryPolicy::max_p99_inflation`], default `None`)
-//! and the deterministic chaos suite leaves it off.
+//! ([`routes_to_canary`], routed by the dispatch core) while the
+//! incumbent serves the rest. Both arms accumulate *commutative* counts
+//! — correct labels, rationale confusion cells, degraded/fault/error
+//! tallies — against the planted ground truth each [`Review`] carries,
+//! so the verdict is independent of worker interleaving, thread budget
+//! and wall clock. The thread-free `CanaryRun` says when the verdict is
+//! due and what it is, and [`CanaryDecision::settled`] applies the
+//! durability veto; the server only carries the decision out.
 
 use dar_data::Review;
 
@@ -39,14 +36,10 @@ pub fn routes_to_canary(seq: u64, slice_modulus: u64) -> bool {
     slice_modulus >= 2 && splitmix64(seq).is_multiple_of(slice_modulus)
 }
 
-/// Promotion state machine phases (journaled via `ObsEvent`s:
-/// `canary_started`, `candidate_promoted`, `candidate_rolled_back`).
+/// How a canary ended (journaled via `ObsEvent`s `candidate_promoted`
+/// and `candidate_rolled_back`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PromotionPhase {
-    /// A checkpoint exists but has not been offered yet.
-    Candidate,
-    /// Serving the canary slice, accumulating arm stats.
-    Canary,
     /// The candidate won and is now the incumbent.
     Promoted,
     /// The candidate lost; the incumbent was never displaced.
@@ -64,8 +57,6 @@ pub enum RollbackCause {
     /// Candidate produced more degraded / non-finite / errored answers
     /// than the fault budget allows.
     CandidateFaults,
-    /// Candidate p99 latency inflated past the opt-in multiplier.
-    LatencyInflated,
     /// The canary was aborted before a verdict (operator or safety cap).
     Aborted,
     /// The verdict said promote, but the durable journal could not
@@ -85,7 +76,6 @@ impl RollbackCause {
             RollbackCause::AccuracyRegressed => "accuracy_regressed",
             RollbackCause::RationaleRegressed => "rationale_regressed",
             RollbackCause::CandidateFaults => "candidate_faults",
-            RollbackCause::LatencyInflated => "latency_inflated",
             RollbackCause::Aborted => "aborted",
             RollbackCause::DurabilityFailed => "durability_failed",
             RollbackCause::ReplicaQuarantined => "replica_quarantined",
@@ -100,10 +90,20 @@ impl RollbackCause {
 pub struct CanaryDecision {
     /// WeightStore version of the candidate under evaluation.
     pub candidate_version: u64,
-    /// True when the verdict is promotion.
-    pub promote: bool,
-    /// The rollback cause when `promote` is false.
-    pub cause: Option<RollbackCause>,
+    /// `Ok` to promote, or the rollback cause.
+    pub verdict: Result<(), RollbackCause>,
+}
+
+impl CanaryDecision {
+    /// What takes effect once the durability hook has run: a promotion
+    /// whose record did not commit becomes a `DurabilityFailed` rollback
+    /// (a crash would forget it); a rollback keeps its own cause.
+    pub fn settled(&self, journaled: bool) -> Result<(), RollbackCause> {
+        match self.verdict {
+            Ok(()) if !journaled => Err(RollbackCause::DurabilityFailed),
+            verdict => verdict,
+        }
+    }
 }
 
 impl std::fmt::Display for RollbackCause {
@@ -115,8 +115,9 @@ impl std::fmt::Display for RollbackCause {
 /// Verdict thresholds for one canary evaluation.
 #[derive(Debug, Clone)]
 pub struct CanaryPolicy {
-    /// Requests with `seq % slice_modulus == 0` go to the candidate;
-    /// clamped to ≥ 2 so the incumbent always keeps traffic.
+    /// One request in `slice_modulus` goes to the candidate (see
+    /// [`routes_to_canary`]); clamped to ≥ 2 so the incumbent always
+    /// keeps traffic.
     pub slice_modulus: u64,
     /// Minimum outcomes (answers + errors) *per arm* before a verdict.
     pub window: u64,
@@ -127,10 +128,6 @@ pub struct CanaryPolicy {
     /// Degraded + non-finite + errored answers the candidate arm may
     /// produce before it is rolled back outright.
     pub max_candidate_faults: u64,
-    /// Opt-in p99 gate: rollback if candidate p99 exceeds incumbent p99
-    /// times this factor. `None` (default) keeps the verdict free of
-    /// wall-clock input, which the determinism contract requires.
-    pub max_p99_inflation: Option<f64>,
 }
 
 impl Default for CanaryPolicy {
@@ -141,7 +138,6 @@ impl Default for CanaryPolicy {
             max_acc_drop: 0.02,
             max_f1_drop: 0.05,
             max_candidate_faults: 0,
-            max_p99_inflation: None,
         }
     }
 }
@@ -163,8 +159,6 @@ pub struct ArmStats {
     pub tp: u64,
     pub fp: u64,
     pub fneg: u64,
-    /// End-to-end latencies (µs), capped; only read by the opt-in gate.
-    pub latencies_us: Vec<u64>,
 }
 
 impl ArmStats {
@@ -190,22 +184,7 @@ impl ArmStats {
         }
     }
 
-    pub fn p99_us(&self) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut lat = self.latencies_us.clone();
-        lat.sort_unstable();
-        lat[((lat.len() as f64 - 1.0) * 0.99).round() as usize]
-    }
-
-    pub(crate) fn record_output(
-        &mut self,
-        review: &Review,
-        out: &ServeOutput,
-        tainted: bool,
-        latency_us: u64,
-    ) {
+    pub(crate) fn record_output(&mut self, review: &Review, out: &ServeOutput, tainted: bool) {
         self.served += 1;
         if out.label == review.label {
             self.correct += 1;
@@ -224,9 +203,6 @@ impl ArmStats {
         }
         if tainted {
             self.faults += 1;
-        }
-        if self.latencies_us.len() < 100_000 {
-            self.latencies_us.push(latency_us);
         }
     }
 
@@ -261,8 +237,8 @@ pub struct CanaryOutcome {
 }
 
 /// The pure comparison contract: gates are checked in severity order
-/// (faults, accuracy, rationale-F1, then the opt-in latency gate), so
-/// the journaled cause is deterministic when several would fire.
+/// (faults, accuracy, then rationale-F1), so the journaled cause is
+/// deterministic when several would fire.
 pub fn decide(policy: &CanaryPolicy, snap: &CanarySnapshot) -> Result<(), RollbackCause> {
     let c = &snap.candidate;
     let i = &snap.incumbent;
@@ -275,12 +251,97 @@ pub fn decide(policy: &CanaryPolicy, snap: &CanarySnapshot) -> Result<(), Rollba
     if c.rationale_f1() + policy.max_f1_drop < i.rationale_f1() {
         return Err(RollbackCause::RationaleRegressed);
     }
-    if let Some(mult) = policy.max_p99_inflation {
-        if i.p99_us() > 0 && c.p99_us() as f64 > i.p99_us() as f64 * mult {
-            return Err(RollbackCause::LatencyInflated);
+    Ok(())
+}
+
+/// The arm a claimed batch belongs to, stamped by the dispatch core at
+/// claim time: the candidate slice (or the incumbent's rest) of the
+/// canary with candidate version `version`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Arm {
+    pub version: u64,
+    pub candidate: bool,
+}
+
+/// One in-progress canary evaluation. Pure: the server keeps it behind
+/// its canary lock and acts on what it says.
+pub(crate) struct CanaryRun {
+    policy: CanaryPolicy,
+    /// Both arms' stats so far.
+    pub stats: CanarySnapshot,
+    /// A replica was quarantined inside the window (DESIGN.md §16).
+    interrupted: bool,
+}
+
+impl CanaryRun {
+    /// Candidate `candidate_version` against `incumbent_version`, the
+    /// slice modulus clamped to ≥ 2.
+    pub fn new(policy: CanaryPolicy, candidate_version: u64, incumbent_version: u64) -> Self {
+        CanaryRun {
+            policy: CanaryPolicy {
+                slice_modulus: policy.slice_modulus.max(2),
+                ..policy
+            },
+            stats: CanarySnapshot {
+                candidate_version,
+                incumbent_version,
+                candidate: ArmStats::default(),
+                incumbent: ArmStats::default(),
+            },
+            interrupted: false,
         }
     }
-    Ok(())
+
+    /// The slice modulus the dispatch core routes by.
+    pub fn slice_modulus(&self) -> u64 {
+        self.policy.slice_modulus
+    }
+
+    /// The stats a batch claimed for `arm` records into — `None` when
+    /// another canary routed it.
+    pub fn arm(&mut self, arm: Arm) -> Option<&mut ArmStats> {
+        if arm.version != self.stats.candidate_version {
+            return None;
+        }
+        Some(if arm.candidate {
+            &mut self.stats.candidate
+        } else {
+            &mut self.stats.incumbent
+        })
+    }
+
+    /// A quarantine landed inside the window: the arm stats mix healthy
+    /// and wedged traffic, so no verdict may be computed from them.
+    pub fn interrupt(&mut self) {
+        self.interrupted = true;
+    }
+
+    /// The verdict once it is due: `ReplicaQuarantined` as soon as the
+    /// run was interrupted (window filled or not), else `None` until
+    /// both arms fill the window, then [`decide`].
+    pub fn verdict(&self) -> Option<Result<(), RollbackCause>> {
+        if self.interrupted {
+            return Some(Err(RollbackCause::ReplicaQuarantined));
+        }
+        let window = self.policy.window;
+        if self.stats.candidate.outcomes() < window || self.stats.incumbent.outcomes() < window {
+            return None;
+        }
+        Some(decide(&self.policy, &self.stats))
+    }
+
+    /// The decision to settle on: a `forced` cause (an abort) wins over
+    /// everything, else the verdict once it is due.
+    pub fn decision(&self, forced: Option<RollbackCause>) -> Option<CanaryDecision> {
+        let verdict = match forced {
+            Some(cause) => Err(cause),
+            None => self.verdict()?,
+        };
+        Some(CanaryDecision {
+            candidate_version: self.stats.candidate_version,
+            verdict,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -341,23 +402,112 @@ mod tests {
         assert_eq!(decide(&pol, &s), Err(RollbackCause::AccuracyRegressed));
     }
 
-    #[test]
-    fn latency_gate_is_opt_in() {
-        let mut c = arm(50, 40, 10, 2, 3);
-        c.latencies_us = vec![10_000; 50];
-        let mut i = arm(50, 40, 10, 2, 3);
-        i.latencies_us = vec![100; 50];
-        let s = snap(c, i);
-        assert_eq!(
-            decide(&CanaryPolicy::default(), &s),
-            Ok(()),
-            "default policy never reads wall-clock"
-        );
-        let pol = CanaryPolicy {
-            max_p99_inflation: Some(10.0),
+    /// A run whose window is `window` outcomes per arm.
+    fn run(window: u64) -> CanaryRun {
+        let policy = CanaryPolicy {
+            window,
             ..CanaryPolicy::default()
         };
-        assert_eq!(decide(&pol, &s), Err(RollbackCause::LatencyInflated));
+        CanaryRun::new(policy, 2, 1)
+    }
+
+    const CANDIDATE: Arm = Arm {
+        version: 2,
+        candidate: true,
+    };
+    const INCUMBENT: Arm = Arm {
+        version: 2,
+        candidate: false,
+    };
+
+    #[test]
+    fn verdict_waits_for_both_windows_then_decides() {
+        let mut r = run(2);
+        assert_eq!(r.verdict(), None, "nothing recorded yet");
+        r.arm(CANDIDATE).unwrap().record_error(2, false);
+        assert_eq!(r.verdict(), None, "the incumbent's window is still open");
+        r.arm(INCUMBENT).unwrap().served = 2;
+        assert_eq!(
+            r.verdict(),
+            Some(Err(RollbackCause::CandidateFaults)),
+            "both windows full: decide's verdict"
+        );
+        assert_eq!(r.stats.candidate.errors, 2);
+    }
+
+    #[test]
+    fn interrupt_voids_the_run_with_or_without_a_full_window() {
+        let mut r = run(10_000);
+        r.interrupt();
+        assert_eq!(r.verdict(), Some(Err(RollbackCause::ReplicaQuarantined)));
+
+        // Even a window that would promote is voided.
+        let mut r = run(1);
+        r.arm(CANDIDATE).unwrap().served = 1;
+        r.arm(INCUMBENT).unwrap().served = 1;
+        assert_eq!(r.verdict(), Some(Ok(())));
+        r.interrupt();
+        assert_eq!(r.verdict(), Some(Err(RollbackCause::ReplicaQuarantined)));
+    }
+
+    #[test]
+    fn a_batch_counts_only_toward_the_canary_that_routed_it() {
+        let mut r = run(1);
+        let stale = Arm {
+            version: 7,
+            candidate: true,
+        };
+        assert!(r.arm(stale).is_none());
+        r.arm(CANDIDATE).unwrap().served += 1;
+        assert_eq!(r.stats.candidate.served, 1);
+        assert_eq!(r.stats.incumbent.served, 0);
+    }
+
+    #[test]
+    fn slice_modulus_is_clamped_so_the_incumbent_keeps_traffic() {
+        let policy = CanaryPolicy {
+            slice_modulus: 0,
+            ..CanaryPolicy::default()
+        };
+        assert_eq!(CanaryRun::new(policy, 2, 1).slice_modulus(), 2);
+        assert_eq!(run(1).slice_modulus(), 2);
+    }
+
+    #[test]
+    fn a_forced_cause_wins_over_the_verdict() {
+        let mut r = run(1);
+        assert!(r.decision(None).is_none(), "not due yet");
+        let d = r.decision(Some(RollbackCause::Aborted)).unwrap();
+        assert_eq!(d.verdict, Err(RollbackCause::Aborted));
+        assert_eq!(d.candidate_version, 2);
+
+        r.arm(CANDIDATE).unwrap().served = 1;
+        r.arm(INCUMBENT).unwrap().served = 1;
+        assert_eq!(r.decision(None).unwrap().verdict, Ok(()));
+        r.interrupt();
+        let d = r.decision(Some(RollbackCause::Aborted)).unwrap();
+        assert_eq!(d.verdict, Err(RollbackCause::Aborted));
+    }
+
+    #[test]
+    fn a_failed_durable_record_vetoes_a_promotion_only() {
+        let decision = |verdict| CanaryDecision {
+            candidate_version: 2,
+            verdict,
+        };
+        let promote = decision(Ok(()));
+        assert_eq!(promote.settled(true), Ok(()));
+        assert_eq!(promote.settled(false), Err(RollbackCause::DurabilityFailed));
+        let rollback = decision(Err(RollbackCause::AccuracyRegressed));
+        assert_eq!(
+            rollback.settled(true),
+            Err(RollbackCause::AccuracyRegressed)
+        );
+        assert_eq!(
+            rollback.settled(false),
+            Err(RollbackCause::AccuracyRegressed),
+            "a rollback keeps its own cause"
+        );
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! it was started with; quarantine and the panic drain revoke it. A
 //! revoked worker's `claim` returns [`Claim::Stop`] and its `complete`
 //! returns `None`, so it can never answer a request twice.
+//!
+//! The core also routes a canary (DESIGN.md §13): while one routes, a
+//! claimed batch is pure per arm and carries the [`Arm`] it was claimed
+//! for, so only batches claimed while that canary routed count toward
+//! it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -33,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use dar_data::Review;
 
-use crate::canary::routes_to_canary;
+use crate::canary::{routes_to_canary, Arm};
 use crate::config::{HealthPolicy, ServeConfig};
 use crate::health::{drain_verdict, DrainFate};
 use crate::request::{Pending, ServeError};
@@ -61,8 +66,9 @@ pub(crate) struct Claimed {
     pub reviews: Vec<Arc<Review>>,
     /// Each request's queue wait, submission to claim.
     pub waited: Vec<Duration>,
-    /// Every request in the batch routes to the canary arm (or none do).
-    pub to_canary: bool,
+    /// The canary arm every request in the batch belongs to, when a
+    /// canary routed the claim.
+    pub arm: Option<Arm>,
     /// The sibling shard the batch was stolen from, if it was.
     pub stolen_from: Option<usize>,
 }
@@ -94,6 +100,11 @@ struct Slot {
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct Core {
     slots: Vec<Slot>,
+    /// The routing canary's candidate version and slice modulus.
+    canary: Option<(u64, u64)>,
+    /// Newest candidate version whose routing stopped (a begin that lost
+    /// a race to its own settle never routes).
+    canary_stopped: u64,
     /// Bit `s` set = slot `s` quarantined (slots past 63 never are).
     quarantined: u64,
     next_gen: u64,
@@ -112,6 +123,8 @@ impl Core {
     pub fn new(cfg: &ServeConfig, replicas: usize) -> Self {
         Core {
             slots: (0..replicas).map(|_| Slot::default()).collect(),
+            canary: None,
+            canary_stopped: 0,
             quarantined: 0,
             next_gen: 1,
             open: true,
@@ -140,6 +153,20 @@ impl Core {
         let s = &self.slots[slot];
         let latest = s.inflight.iter().map(|p| p.deadline).max();
         (!s.queue.is_empty(), latest)
+    }
+
+    /// Route one request in `modulus` to canary `version`'s candidate
+    /// from the next claim on — unless that canary already stopped.
+    pub fn route_canary(&mut self, version: u64, modulus: u64) {
+        if version > self.canary_stopped {
+            self.canary = Some((version, modulus));
+        }
+    }
+
+    /// Stop routing canary `version`; a newer one keeps routing.
+    pub fn stop_canary(&mut self, version: u64) {
+        self.canary_stopped = self.canary_stopped.max(version);
+        self.canary = self.canary.filter(|&(v, _)| v > version);
     }
 
     /// Authorize a fresh worker generation for `slot` (start and
@@ -187,16 +214,9 @@ impl Core {
     /// earliest queued deadline), or — when its own shard is empty —
     /// stolen whole from the longest sibling backlog past the steal
     /// threshold, answering expired requests found on the way. Stolen
-    /// batches skip the linger. While a canary routes (`modulus` ≥ 2) a
-    /// batch takes only requests of its front request's arm.
-    pub fn claim(
-        &mut self,
-        slot: usize,
-        gen: u64,
-        cap: usize,
-        modulus: u64,
-        now: Instant,
-    ) -> (Claim, Answers) {
+    /// batches skip the linger. While a canary routes a batch takes only
+    /// requests of its front request's arm.
+    pub fn claim(&mut self, slot: usize, gen: u64, cap: usize, now: Instant) -> (Claim, Answers) {
         let mut answers = Vec::new();
         if !self.open || self.slots[slot].gen != gen {
             return (Claim::Stop, answers);
@@ -207,9 +227,7 @@ impl Core {
         if s.queue.is_empty() {
             s.linger_until = None;
             let claim = match self.steal_victim(slot, now, &mut answers) {
-                Some((victim, len)) => {
-                    Claim::Batch(self.park(slot, victim, len.min(cap), modulus, now))
-                }
+                Some((victim, len)) => Claim::Batch(self.park(slot, victim, len.min(cap), now)),
                 None => Claim::Idle,
             };
             return (claim, answers);
@@ -224,10 +242,7 @@ impl Core {
         }
         s.linger_until = None;
         let n = s.queue.len().min(cap);
-        (
-            Claim::Batch(self.park(slot, slot, n, modulus, now)),
-            answers,
-        )
+        (Claim::Batch(self.park(slot, slot, n, now)), answers)
     }
 
     /// For idle `thief`: sweep every sibling's expired requests, then pick
@@ -252,23 +267,24 @@ impl Core {
 
     /// Move up to `n` requests off `from`'s queue front straight into
     /// `slot`'s in-flight slot, arm-pure while a canary routes.
-    fn park(&mut self, slot: usize, from: usize, n: usize, modulus: u64, now: Instant) -> Claimed {
+    fn park(&mut self, slot: usize, from: usize, n: usize, now: Instant) -> Claimed {
         let queue = &mut self.slots[from].queue;
-        let to_canary = modulus >= 2 && routes_to_canary(queue[0].seq, modulus);
-        let batch: Vec<Pending> = if modulus < 2 {
-            queue.drain(..n).collect()
-        } else {
-            let mut batch = Vec::with_capacity(n);
-            let mut rest = VecDeque::with_capacity(queue.len());
-            for p in queue.drain(..) {
-                if batch.len() < n && routes_to_canary(p.seq, modulus) == to_canary {
-                    batch.push(p);
-                } else {
-                    rest.push_back(p);
+        let (batch, arm) = match self.canary {
+            None => (queue.drain(..n).collect::<Vec<_>>(), None),
+            Some((version, modulus)) => {
+                let candidate = routes_to_canary(queue[0].seq, modulus);
+                let mut batch = Vec::with_capacity(n);
+                let mut rest = VecDeque::with_capacity(queue.len());
+                for p in queue.drain(..) {
+                    if batch.len() < n && routes_to_canary(p.seq, modulus) == candidate {
+                        batch.push(p);
+                    } else {
+                        rest.push_back(p);
+                    }
                 }
+                *queue = rest;
+                (batch, Some(Arm { version, candidate }))
             }
-            *queue = rest;
-            batch
         };
         let claimed = Claimed {
             reviews: batch.iter().map(|p| Arc::clone(&p.review)).collect(),
@@ -276,7 +292,7 @@ impl Core {
                 .iter()
                 .map(|p| now.saturating_duration_since(p.submitted))
                 .collect(),
-            to_canary,
+            arm,
             stolen_from: (from != slot).then_some(from),
         };
         let inflight = &mut self.slots[slot].inflight;

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use super::*;
-use crate::canary::splitmix64;
+use crate::canary::{routes_to_canary, splitmix64};
 use crate::config::StealPolicy;
 use crate::request::{Count, Ledger, ServeOutput, ServeResult, Ticket, Verdict};
 use crate::router::route_tenant;
@@ -177,7 +177,7 @@ impl World {
                 let Worker::Idle(gen) = self.workers[s] else {
                     unreachable!()
                 };
-                let (claim, answers) = self.core.claim(s, gen, 2, 0, now);
+                let (claim, answers) = self.core.claim(s, gen, 2, now);
                 self.record(answers);
                 match claim {
                     Claim::Batch(b) => {
@@ -212,7 +212,7 @@ impl World {
                         "a revoked generation's complete returns nothing"
                     ),
                     Worker::Idle(gen) => assert!(matches!(
-                        self.core.claim(s, gen, 2, 0, now),
+                        self.core.claim(s, gen, 2, now),
                         (Claim::Stop, ref a) if a.is_empty()
                     )),
                     Worker::Gone => unreachable!(),
@@ -255,12 +255,11 @@ impl World {
     /// requests this is the ledger: submitted == answered + held.
     fn check(&self, trail: &[Event]) {
         let holders = self.core.holders(REQS);
-        for r in 0..REQS {
+        for (r, held) in holders.iter().enumerate() {
             assert_eq!(
-                holders[r] + usize::from(self.answered[r]),
+                held + usize::from(self.answered[r]),
                 usize::from(self.submitted[r]),
-                "request {r} after {trail:?}: held {} times, answered {} times",
-                holders[r],
+                "request {r} after {trail:?}: held {held} times, answered {} times",
                 self.answered[r]
             );
         }
@@ -381,9 +380,11 @@ fn exhaustive_three_requests_two_replicas() {
 
 /// A seeded random interleaving of 8 requests over 4 replicas, with
 /// the real ledger and tickets: random deadlines, batch caps, canary
-/// slices and clock steps, 300 runs of 80 events each. After every
+/// routing and clock steps, 300 runs of 80 events each. After every
 /// event each request is held once or answered once and the ledger
-/// balances; after shutdown every ticket holds exactly one verdict.
+/// balances; every batch claimed while a canary routes is pure per arm
+/// and names that canary; after shutdown every ticket holds exactly one
+/// verdict.
 #[test]
 fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
     const N: usize = 8;
@@ -420,6 +421,9 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
         }
         let mut now = pending.iter().flatten().map(|p| p.submitted).max().unwrap();
         let mut answered = [false; N];
+        // The routing canary (version, modulus), and the last version.
+        let mut route: Option<(u64, u64)> = None;
+        let mut canary = 0u64;
         let out = ServeOutput {
             label: 0,
             rationale: Vec::new(),
@@ -430,7 +434,7 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
         for _ in 0..80 {
             now += Duration::from_micros([0, 500, 3_000, 20_000][next(4)] as u64);
             let s = next(R);
-            match next(9) {
+            match next(10) {
                 0..=2 => {
                     if let Some(p) = pending[next(N)].take() {
                         ledger.count(Count::Submitted, 1);
@@ -441,11 +445,19 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
                 }
                 3 | 4 => match workers[s] {
                     Worker::Idle(gen) => {
-                        let modulus = [0, 2, 3][next(3)];
-                        let (claim, answers) = core.claim(s, gen, 1 + next(4), modulus, now);
+                        let (claim, answers) = core.claim(s, gen, 1 + next(4), now);
                         ledger.fail_all(answers);
                         match claim {
-                            Claim::Batch(_) => workers[s] = Worker::Holding(gen),
+                            Claim::Batch(b) => {
+                                assert_eq!(b.arm.map(|a| a.version), route.map(|r| r.0));
+                                if let (Some(arm), Some((_, m))) = (b.arm, route) {
+                                    assert!(core.slots[s]
+                                        .inflight
+                                        .iter()
+                                        .all(|p| routes_to_canary(p.seq, m) == arm.candidate));
+                                }
+                                workers[s] = Worker::Holding(gen);
+                            }
                             Claim::Stop => unreachable!("live and open"),
                             Claim::Idle | Claim::Linger(_) => {}
                         }
@@ -480,6 +492,17 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
                         assert!(core.complete(s, gen).is_none(), "revoked gets nothing");
                     }
                 }
+                8 => match [0, 2, 3][next(3)] {
+                    0 => {
+                        core.stop_canary(canary);
+                        route = None;
+                    }
+                    modulus => {
+                        canary += 1;
+                        core.route_canary(canary, modulus);
+                        route = Some((canary, modulus));
+                    }
+                },
                 _ => ledger.fail_all(core.sweep(now)),
             }
 
@@ -548,4 +571,36 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
             "seed {seed}: ledger"
         );
     }
+}
+
+/// Routing follows the newest canary only: a settle stops its own
+/// canary and never a newer one, and a canary whose settle already ran
+/// never starts routing.
+#[test]
+fn canary_routing_is_fenced_by_candidate_version() {
+    let mut core = Core::new(&cfg(4), 1);
+    let gen = core.respawn(0);
+    let t = tenant_on(0, 1);
+    let arm_of_next_claim = |core: &mut Core, seq: u64| {
+        assert!(core
+            .submit(request(seq, t, Duration::from_secs(60)).0)
+            .is_ok());
+        let now = Instant::now() + Duration::from_secs(1);
+        let (claim, _) = core.claim(0, gen, 1, now);
+        let Claim::Batch(b) = claim else {
+            panic!("one queued request is claimable")
+        };
+        core.complete(0, gen).unwrap();
+        b.arm.map(|a| a.version)
+    };
+    assert_eq!(arm_of_next_claim(&mut core, 0), None);
+    core.route_canary(2, 2);
+    assert_eq!(arm_of_next_claim(&mut core, 1), Some(2));
+    core.route_canary(3, 2);
+    core.stop_canary(2);
+    assert_eq!(arm_of_next_claim(&mut core, 2), Some(3), "a stale stop");
+    core.stop_canary(3);
+    assert_eq!(arm_of_next_claim(&mut core, 3), None);
+    core.route_canary(3, 2);
+    assert_eq!(arm_of_next_claim(&mut core, 4), None, "settled first");
 }

@@ -13,10 +13,13 @@
 //!
 //! The runtime is split by role. `dispatch` is the thread-free
 //! request-ownership core: shard queues, in-flight slots, worker
-//! generations and the quarantine mask behind one lock. `worker` runs
-//! the replica threads, `supervisor` the respawns, deadline sweep and
-//! heartbeat watchdog, and [`server`] is the public API. Every verdict
-//! goes through the ledger's one funnel in [`request`].
+//! generations, the quarantine mask and canary routing behind one lock.
+//! `worker` runs the replica threads, `supervisor` the respawns,
+//! deadline sweep and heartbeat watchdog, and [`server`] is the public
+//! API. Every verdict goes through the ledger's one funnel in
+//! [`request`]. Canary promotion (DESIGN.md §13) is decided by the pure
+//! run in [`canary`] and driven by the one controller loop in
+//! [`online`], journaled or not.
 //!
 //! * **Exactly one outcome per request** — admission rejection, typed
 //!   failure, or an answer; never silence, never two verdicts. The
@@ -60,9 +63,7 @@ pub use canary::{
 };
 pub use config::{HealthPolicy, RespawnBackoff, ServeConfig, StealPolicy};
 pub use health::HealthState;
-pub use online::{
-    run_online_loop, run_online_loop_durable, LoopReport, OnlineLoopConfig, RoundReport,
-};
+pub use online::{run_online_loop, LoopReport, OnlineLoopConfig, RoundReport};
 pub use request::{ServeError, ServeOutput, ServeResult, Ticket};
 pub use router::{route_tenant, route_tenant_healthy};
 pub use server::{ModelFactory, ReplicaStats, Server, StatsSnapshot};

@@ -5,10 +5,15 @@
 //! binary and the chaos suite share. It drains
 //! [`CandidateMsg`](dar_core::stream::CandidateMsg)s from the trainer,
 //! begins a canary for each candidate checkpoint, drives traffic until
-//! both arms fill the verdict window, and records the outcome. Because
-//! one thread submits all traffic and emits all promotion events, the
-//! promotion event sequence in the deterministic obs section is a pure
-//! function of the inputs — byte-identical across thread budgets.
+//! the verdict is due, and records the outcome. Because one thread
+//! submits all traffic and emits all promotion events, the promotion
+//! event sequence in the deterministic obs section is a pure function of
+//! the inputs — byte-identical across thread budgets.
+//!
+//! Given a [`DurableState`], the same loop is crash-safe (DESIGN.md
+//! §15): every verdict is journaled by the server's pre-commit hook
+//! before it takes effect, rounds with a durable verdict are skipped,
+//! and the feed cursor advances once a round is settled.
 //!
 //! Trainer failures are *messages*, not faults: a `Skipped` round or a
 //! `TrainerDied` leaves serving untouched (the loop still drives a wave
@@ -48,7 +53,7 @@ impl Default for OnlineLoopConfig {
 }
 
 /// What happened to one trainer round.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RoundReport {
     pub round: usize,
     /// The canary verdict, if a candidate reached evaluation.
@@ -72,49 +77,55 @@ pub struct LoopReport {
     pub final_version: u64,
 }
 
-/// Submit `n` reviews from `traffic` (cycling, strictly sequentially —
-/// submit, wait, next), so batch composition and canary routing are
-/// reproducible. Returns (ok, failed).
-fn drive(server: &Server, traffic: &[Review], cursor: &mut usize, n: usize) -> (u64, u64) {
-    let mut ok = 0;
-    let mut failed = 0;
-    for _ in 0..n {
+/// Submit one wave of reviews from `traffic` (cycling, strictly
+/// sequentially — submit, wait, next), so batch composition and canary
+/// routing are reproducible, counting the outcomes into `rr`.
+fn drive(
+    server: &Server,
+    traffic: &[Review],
+    cursor: &mut usize,
+    wave: usize,
+    rr: &mut RoundReport,
+) {
+    for _ in 0..wave.max(1) {
         let review = traffic[*cursor % traffic.len()].clone();
         *cursor += 1;
         match server.submit(review).wait() {
-            Ok(_) => ok += 1,
-            Err(_) => failed += 1,
+            Ok(_) => rr.served_ok += 1,
+            Err(_) => rr.failed += 1,
         }
     }
-    (ok, failed)
 }
 
-/// Journal a settled canary decision into the durable state: a
-/// promotion lands the incumbent copy + WAL record + manifest swap
+/// Journal a settled canary decision into the durable state, if there is
+/// one: a promotion lands the incumbent copy + WAL record + manifest swap
 /// (the WAL append is the commit point — see `dar_store`); a rollback
 /// appends its terminal record. Called from the server's pre-commit
 /// hook, *before* the decision takes effect in memory.
 fn journal_decision(
-    state: &mut DurableState,
+    state: Option<&mut DurableState>,
     round: usize,
     candidate: &Path,
     decision: &CanaryDecision,
 ) -> DarResult<()> {
-    if decision.promote {
-        state.log_promoted(round, candidate).map(|_| ())
-    } else if let Some(cause) = decision.cause {
-        state.log_rolled_back(round, cause.as_str())
-    } else {
-        Ok(())
+    let Some(state) = state else { return Ok(()) };
+    match decision.verdict {
+        Ok(()) => state.log_promoted(round, candidate).map(|_| ()),
+        Err(cause) => state.log_rolled_back(round, cause.as_str()),
     }
 }
 
-/// The controller shared by [`run_online_loop`] (ephemeral) and
-/// [`run_online_loop_durable`] (journaled). With `state`, every round's
-/// verdict is WAL-committed before it takes effect, already-terminal
-/// rounds are skipped (exactly-once across restarts), and the feed
-/// cursor advances only after a terminal record is durable.
-fn run_loop_inner(
+/// Run the promotion side of the closed loop until the trainer's channel
+/// closes (or sends `Finished`). See the module docs.
+///
+/// With `state`, the loop is journaled: every promotion/rollback verdict
+/// is committed to the write-ahead journal *before* it takes effect (a
+/// promotion whose record cannot commit is vetoed into a
+/// `durability_failed` rollback), rounds that already have a durable
+/// terminal verdict are skipped, and the feed cursor record advances
+/// only once a round is settled — together, exactly-once promotion
+/// across crash/restart (DESIGN.md §15).
+pub fn run_online_loop(
     server: &Server,
     candidates: &Receiver<CandidateMsg>,
     traffic: &[Review],
@@ -128,61 +139,41 @@ fn run_loop_inner(
     for msg in candidates.iter() {
         match msg {
             CandidateMsg::Candidate { round, path, .. } => {
+                let mut rr = RoundReport {
+                    round,
+                    ..RoundReport::default()
+                };
                 if let Some(st) = state.as_deref_mut() {
                     if st.is_terminal(round) {
                         // This round already has a durable verdict (we
                         // are replaying after a crash): never re-canary.
-                        report.rounds.push(RoundReport {
-                            round,
-                            outcome: None,
-                            note: Some("already settled in the durable journal".into()),
-                            served_ok: 0,
-                            failed: 0,
-                        });
+                        rr.note = Some("already settled in the durable journal".into());
+                        report.rounds.push(rr);
                         continue;
                     }
                     // Best-effort intent record; the terminal record is
                     // the one that must commit.
                     st.log_canary_started(round).ok();
                 }
-                let mut rr = RoundReport {
-                    round,
-                    outcome: None,
-                    note: None,
-                    served_ok: 0,
-                    failed: 0,
-                };
                 match server.begin_canary(&path, cfg.policy.clone()) {
                     Ok(_) => {
                         let mut waves = 0usize;
-                        // Without durable state there is nothing to
-                        // journal, so the cursor logic below is moot.
-                        let mut journaled = state.is_none();
+                        // Set by the hook, which runs once per settled
+                        // round: the verdict's record committed.
+                        let mut journaled = false;
+                        let mut hook = |d: &CanaryDecision| {
+                            let r = journal_decision(state.as_deref_mut(), round, &path, d);
+                            journaled = r.is_ok();
+                            r
+                        };
                         let outcome = loop {
-                            let (ok, failed) = drive(server, traffic, &mut cursor, cfg.wave.max(1));
-                            rr.served_ok += ok;
-                            rr.failed += failed;
-                            let concluded = match state.as_deref_mut() {
-                                Some(st) => server.try_conclude_canary_with(|d| {
-                                    let r = journal_decision(st, round, &path, d);
-                                    journaled = r.is_ok();
-                                    r
-                                }),
-                                None => server.try_conclude_canary(),
-                            };
-                            if let Some(outcome) = concluded {
+                            drive(server, traffic, &mut cursor, cfg.wave, &mut rr);
+                            if let Some(outcome) = server.try_conclude_canary_with(&mut hook) {
                                 break Some(outcome);
                             }
                             waves += 1;
                             if waves >= cfg.max_waves {
-                                break match state.as_deref_mut() {
-                                    Some(st) => server.abort_canary_with(|d| {
-                                        let r = journal_decision(st, round, &path, d);
-                                        journaled = r.is_ok();
-                                        r
-                                    }),
-                                    None => server.abort_canary(),
-                                };
+                                break server.abort_canary_with(&mut hook);
                             }
                         };
                         match &outcome {
@@ -190,7 +181,7 @@ fn run_loop_inner(
                             Some(_) => report.rolled_back += 1,
                             None => {}
                         }
-                        if outcome.is_some() && journaled {
+                        if journaled {
                             if let Some(st) = state.as_deref_mut() {
                                 st.log_feed_cursor(round + 1).ok();
                             }
@@ -207,9 +198,7 @@ fn run_loop_inner(
                                 st.log_feed_cursor(round + 1).ok();
                             }
                         }
-                        let (ok, failed) = drive(server, traffic, &mut cursor, cfg.wave.max(1));
-                        rr.served_ok += ok;
-                        rr.failed += failed;
+                        drive(server, traffic, &mut cursor, cfg.wave, &mut rr);
                     }
                 }
                 report.rounds.push(rr);
@@ -220,57 +209,27 @@ fn run_loop_inner(
                         st.log_feed_cursor(round + 1).ok();
                     }
                 }
-                let (ok, failed) = drive(server, traffic, &mut cursor, cfg.wave.max(1));
-                report.rounds.push(RoundReport {
+                let mut rr = RoundReport {
                     round,
-                    outcome: None,
                     note: Some(format!("skipped: {cause}")),
-                    served_ok: ok,
-                    failed,
-                });
+                    ..RoundReport::default()
+                };
+                drive(server, traffic, &mut cursor, cfg.wave, &mut rr);
+                report.rounds.push(rr);
             }
             CandidateMsg::TrainerDied { msg } => {
                 report.trainer_died = true;
-                let (ok, failed) = drive(server, traffic, &mut cursor, cfg.wave.max(1));
-                report.rounds.push(RoundReport {
+                let mut rr = RoundReport {
                     round: usize::MAX,
-                    outcome: None,
                     note: Some(format!("trainer died: {msg}")),
-                    served_ok: ok,
-                    failed,
-                });
+                    ..RoundReport::default()
+                };
+                drive(server, traffic, &mut cursor, cfg.wave, &mut rr);
+                report.rounds.push(rr);
             }
             CandidateMsg::Finished => break,
         }
     }
     report.final_version = server.weights_version();
     report
-}
-
-/// Run the promotion side of the closed loop until the trainer's channel
-/// closes (or sends `Finished`). See the module docs.
-pub fn run_online_loop(
-    server: &Server,
-    candidates: &Receiver<CandidateMsg>,
-    traffic: &[Review],
-    cfg: &OnlineLoopConfig,
-) -> LoopReport {
-    run_loop_inner(server, candidates, traffic, cfg, None)
-}
-
-/// [`run_online_loop`] threaded through a [`DurableState`]: every
-/// promotion/rollback verdict is committed to the write-ahead journal
-/// *before* it takes effect (a promotion whose record cannot commit is
-/// vetoed into a `durability_failed` rollback), rounds that already have
-/// a durable terminal verdict are skipped, and the feed cursor record
-/// advances only once a round is settled — together, exactly-once
-/// promotion across crash/restart (DESIGN.md §15).
-pub fn run_online_loop_durable(
-    server: &Server,
-    candidates: &Receiver<CandidateMsg>,
-    traffic: &[Review],
-    cfg: &OnlineLoopConfig,
-    state: &mut DurableState,
-) -> LoopReport {
-    run_loop_inner(server, candidates, traffic, cfg, Some(state))
 }

@@ -248,7 +248,7 @@ const LATENCY_SAMPLES: usize = 1_000_000;
 /// latency samples, whose mutex is a leaf (nothing is locked under it).
 pub(crate) struct Ledger {
     counts: [AtomicU64; COUNTS],
-    latencies_us: Mutex<Vec<u64>>,
+    samples_us: Mutex<Vec<u64>>,
     /// One heartbeat ledger + health state + counters per replica.
     pub replicas: Vec<HealthSlot>,
 }
@@ -257,7 +257,7 @@ impl Ledger {
     pub fn new(replicas: usize) -> Self {
         Ledger {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            latencies_us: Mutex::new(Vec::new()),
+            samples_us: Mutex::new(Vec::new()),
             replicas: (0..replicas).map(|_| HealthSlot::default()).collect(),
         }
     }
@@ -287,7 +287,7 @@ impl Ledger {
                 dar_obs::record_micros("serve/latency", us);
                 self.replicas[slot].served.fetch_add(1, Ordering::Relaxed);
                 let kind = [Count::ServedFull, Count::ServedDegraded][usize::from(out.degraded)];
-                let mut lat = self.latencies_us.lock().expect("latency samples poisoned");
+                let mut lat = self.samples_us.lock().expect("latency samples poisoned");
                 if lat.len() < LATENCY_SAMPLES {
                     lat.push(us);
                 }
@@ -310,7 +310,7 @@ impl Ledger {
     /// Exact `(p50, p99, max)` over the successful answers so far, in µs.
     pub fn latency_percentiles(&self) -> (u64, u64, u64) {
         let mut lat = self
-            .latencies_us
+            .samples_us
             .lock()
             .expect("latency samples poisoned")
             .clone();

@@ -8,6 +8,11 @@
 //! and runs the heartbeat watchdog. Every verdict, from any of them,
 //! goes through the ledger's one funnel (`request.rs`).
 //!
+//! Canary promotion is decided by the pure run in `canary.rs` and routed
+//! by the dispatch core; the server only holds the run behind its lock
+//! and carries out the effects: the `WeightStore` offer, promotion or
+//! clear, and the journal events (DESIGN.md §13).
+//!
 //! ## Sharded routing and work stealing (DESIGN.md §14)
 //!
 //! Each replica owns one bounded queue shard. A request's tenant id is
@@ -37,11 +42,11 @@
 //! The dispatch core, breaker, canary and latency-sample mutexes are
 //! never held together: each is taken alone and released before the next.
 //! The one nesting is `canary` → the `WeightStore`'s own locks (canary
-//! setup and settlement). Heartbeats and counters are atomics.
+//! setup). Heartbeats and counters are atomics.
 //!
 //! [`route_tenant`]: crate::router::route_tenant
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -51,7 +56,7 @@ use dar_obs::ObsEvent;
 
 use crate::breaker::{BreakerEvent, BreakerState, CircuitBreaker};
 use crate::canary::{
-    decide, ArmStats, CanaryDecision, CanaryOutcome, CanaryPolicy, CanarySnapshot, PromotionPhase,
+    CanaryDecision, CanaryOutcome, CanaryPolicy, CanaryRun, CanarySnapshot, PromotionPhase,
     RollbackCause,
 };
 use crate::config::ServeConfig;
@@ -134,13 +139,6 @@ pub struct StatsSnapshot {
     pub replicas: Vec<ReplicaStats>,
 }
 
-/// One in-progress canary evaluation (promotion phase `Canary`).
-pub(crate) struct CanaryRun {
-    pub policy: CanaryPolicy,
-    /// Both arms' stats so far.
-    pub stats: CanarySnapshot,
-}
-
 /// State shared by the server handle, the workers and the supervisor.
 pub(crate) struct Shared {
     pub cfg: ServeConfig,
@@ -152,16 +150,10 @@ pub(crate) struct Shared {
     pub breaker: Mutex<CircuitBreaker>,
     pub weights: WeightStore,
     pub ledger: Ledger,
-    /// Cheap hot-path check before touching the `canary` mutex.
-    pub canary_active: AtomicBool,
+    /// The active canary run. Workers record into it, the watchdog
+    /// interrupts it, and only the controller thread settles it, so the
+    /// promotion journal stays single-threaded and deterministic.
     pub canary: Mutex<Option<CanaryRun>>,
-    /// Latched by the watchdog when a quarantine lands while a canary
-    /// window is open. The *controller* thread consumes it in
-    /// `try_conclude_canary_with` and settles the round as a typed
-    /// `replica_quarantined` rollback — the watchdog never emits canary
-    /// verdict events itself, preserving the single-thread determinism
-    /// of the promotion journal.
-    pub canary_interrupted: AtomicBool,
 }
 
 impl Shared {
@@ -193,9 +185,7 @@ impl Server {
             cfg,
             weights: WeightStore::new(initial),
             ledger: Ledger::new(replicas),
-            canary_active: AtomicBool::new(false),
             canary: Mutex::new(None),
-            canary_interrupted: AtomicBool::new(false),
         });
         let supervisor = Supervisor::start(Arc::clone(&shared), factory);
         let supervisor = std::thread::Builder::new()
@@ -315,22 +305,12 @@ impl Server {
             ));
         }
         let version = shared.weights.offer_canary(path)?;
-        let policy = CanaryPolicy {
-            slice_modulus: policy.slice_modulus.max(2),
-            ..policy
-        };
-        *guard = Some(CanaryRun {
-            policy,
-            stats: CanarySnapshot {
-                candidate_version: version,
-                incumbent_version: shared.weights.version(),
-                candidate: ArmStats::default(),
-                incumbent: ArmStats::default(),
-            },
-        });
-        shared.canary_interrupted.store(false, Ordering::SeqCst);
-        shared.canary_active.store(true, Ordering::SeqCst);
+        let run = CanaryRun::new(policy, version, shared.weights.version());
+        let modulus = run.slice_modulus();
+        *guard = Some(run);
         drop(guard);
+        // Routing starts last, so every routed batch finds its run.
+        shared.core().route_canary(version, modulus);
         dar_obs::event(ObsEvent::CanaryStarted { version });
         dar_obs::inc("serve.canaries_started");
         Ok(version)
@@ -342,9 +322,10 @@ impl Server {
         guard.as_ref().map(|run| run.stats.clone())
     }
 
-    /// Conclude the canary if both arms have filled the policy window:
-    /// promote the candidate atomically or roll it back, journaling the
-    /// verdict. `None` means not enough traffic yet (or no canary).
+    /// Conclude the canary once its verdict is due — both arms filled
+    /// the policy window, or a quarantine voided the run: promote the
+    /// candidate atomically or roll it back, journaling the verdict.
+    /// `None` means not enough traffic yet (or no canary).
     ///
     /// The verdict and its journal entry are emitted from the calling
     /// thread, so a single controller thread observes a deterministic
@@ -367,23 +348,7 @@ impl Server {
     where
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
-        let guard = self.shared.canary.lock().unwrap();
-        let run = guard.as_ref()?;
-        // A quarantine that landed inside the window voids the round:
-        // its arm stats mix healthy and wedged traffic, so no verdict
-        // may be computed from them. The watchdog only latches the flag;
-        // the typed rollback is decided and journaled *here*, on the
-        // controller thread, keeping the promotion event sequence
-        // deterministic whatever the worker interleaving.
-        let interrupted = self.shared.canary_interrupted.load(Ordering::SeqCst);
-        if !interrupted
-            && (run.stats.candidate.outcomes() < run.policy.window
-                || run.stats.incumbent.outcomes() < run.policy.window)
-        {
-            return None;
-        }
-        let forced = interrupted.then_some(RollbackCause::ReplicaQuarantined);
-        self.settle_canary(guard, forced, pre_commit)
+        self.settle_canary(None, pre_commit)
     }
 
     /// Abort an active canary without a verdict: clear the slot, keep
@@ -401,19 +366,17 @@ impl Server {
     where
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
-        let guard = self.shared.canary.lock().unwrap();
-        self.settle_canary(guard, Some(RollbackCause::Aborted), pre_commit)
+        self.settle_canary(Some(RollbackCause::Aborted), pre_commit)
     }
 
-    /// Detach the active run (if any) and apply the verdict — or a forced
-    /// cause — to it, giving `pre_commit` the chance to journal or veto
-    /// the decision. Routing stops *before* the weights settle: batches
-    /// claimed from here on go to the incumbent, and any canary batch
-    /// already claimed still resolves normally (it just stops being
-    /// counted).
+    /// Detach the active run once its decision is due (see
+    /// [`CanaryRun::decision`]), let `pre_commit` journal it, and carry
+    /// out what [`CanaryDecision::settled`] says. Routing stops *before*
+    /// the weights settle: batches claimed from here on go to the
+    /// incumbent, and any canary batch already claimed still resolves
+    /// normally (it just stops being counted).
     fn settle_canary<F>(
         &self,
-        mut guard: MutexGuard<'_, Option<CanaryRun>>,
         forced: Option<RollbackCause>,
         pre_commit: F,
     ) -> Option<CanaryOutcome>
@@ -421,26 +384,13 @@ impl Server {
         F: FnOnce(&CanaryDecision) -> dar_tensor::DarResult<()>,
     {
         let shared = &self.shared;
-        let run = guard.take()?;
-        shared.canary_active.store(false, Ordering::SeqCst);
-        shared.canary_interrupted.store(false, Ordering::SeqCst);
+        let mut guard = shared.canary.lock().unwrap();
+        let decision = guard.as_ref()?.decision(forced)?;
+        let snapshot = guard.take()?.stats;
         drop(guard);
-        let snapshot = run.stats;
-        let candidate_version = snapshot.candidate_version;
-        let mut verdict = match forced {
-            Some(cause) => Err(cause),
-            None => decide(&run.policy, &snapshot),
-        };
-        let decision = CanaryDecision {
-            candidate_version,
-            promote: verdict.is_ok(),
-            cause: verdict.as_ref().err().copied(),
-        };
-        if pre_commit(&decision).is_err() && verdict.is_ok() {
-            // The promotion record could not be made durable: without it
-            // a crash would forget the promotion, so it must not happen.
-            verdict = Err(RollbackCause::DurabilityFailed);
-        }
+        let candidate_version = decision.candidate_version;
+        shared.core().stop_canary(candidate_version);
+        let verdict = decision.settled(pre_commit(&decision).is_ok());
         Some(match verdict {
             Ok(()) => {
                 let version = shared.weights.promote_canary().unwrap_or(candidate_version);

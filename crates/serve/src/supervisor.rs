@@ -305,10 +305,10 @@ impl Supervisor {
         h.hedged_away.fetch_add(hedged, Ordering::Relaxed);
         shared.ledger.fail_all(answers);
 
-        // A canary window spanning a quarantine is void: latch for the
-        // controller thread, which owns the verdict.
-        if shared.canary_active.load(Ordering::SeqCst) {
-            shared.canary_interrupted.store(true, Ordering::SeqCst);
+        // A canary window spanning a quarantine is void. Only mark the
+        // run: the controller thread settles it and journals the verdict.
+        if let Some(run) = shared.canary.lock().unwrap().as_mut() {
+            run.interrupt();
         }
         self.schedule_respawn(slot, now, true);
     }

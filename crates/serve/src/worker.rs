@@ -28,7 +28,7 @@ use dar_obs::ObsEvent;
 use dar_tensor::no_grad;
 
 use crate::breaker::{BatchPlan, CircuitBreaker};
-use crate::canary::ArmStats;
+use crate::canary::{Arm, ArmStats};
 use crate::dispatch::Claim;
 use crate::request::{Count, ServeError, ServeOutput, Verdict};
 use crate::server::{ModelFactory, Shared};
@@ -97,10 +97,9 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
     loop {
         let max_batch = shared.cfg.max_batch;
         let cap = shared.breaker.lock().unwrap().batch_cap(max_batch);
-        let modulus = canary_modulus(shared);
         let mut core = shared.core();
         let now = Instant::now();
-        let (claim, expired) = core.claim(slot, gen, cap, modulus, now);
+        let (claim, expired) = core.claim(slot, gen, cap, now);
         let batch = match claim {
             Claim::Batch(batch) => batch,
             Claim::Stop => {
@@ -194,16 +193,21 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
 
         // Between-batch weight sync: the only place a swap is observed.
         // The steady state is a single lock-free version-hint check
-        // (`refresh`). A canary batch targets the canary slot (falling
-        // back to the incumbent if the slot was cleared after the claim
-        // — the request still resolves, just on the incumbent). An apply
-        // failure leaves the replica on its old weights; the store never
-        // publishes a shape-mismatched set for a healthy factory.
+        // (`refresh`). A candidate-arm batch targets its canary's slot
+        // (falling back to the incumbent if the slot was settled after
+        // the claim — the request still resolves, just on the
+        // incumbent). An apply failure leaves the replica on its old
+        // weights; the store never publishes a shape-mismatched set for
+        // a healthy factory.
         let weights = &shared.weights;
-        let sync = if batch.to_canary {
-            Some(weights.canary().unwrap_or_else(|| weights.current()))
-        } else {
-            weights.refresh(version)
+        let sync = match batch.arm {
+            Some(arm) if arm.candidate => Some(
+                weights
+                    .canary()
+                    .filter(|w| w.version == arm.version)
+                    .unwrap_or_else(|| weights.current()),
+            ),
+            _ => weights.refresh(version),
         };
         if let Some(w) = sync {
             if w.version != version && w.apply(&model.params()).is_ok() {
@@ -263,10 +267,9 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
         let tainted = origin.is_some();
         match outcome {
             Ok(Ok((outs, _))) => {
-                with_canary_arm(shared, batch.to_canary, |arm| {
+                with_canary_arm(shared, batch.arm, |arm| {
                     for (p, out) in owned.iter().zip(&outs) {
-                        let latency_us = p.submitted.elapsed().as_micros() as u64;
-                        arm.record_output(&p.review, out, tainted, latency_us);
+                        arm.record_output(&p.review, out, tainted);
                     }
                 });
                 for (p, out) in owned.into_iter().zip(outs) {
@@ -279,7 +282,7 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
                 // Typed failure (no full-text path): the whole batch gets
                 // the same verdict, and a candidate that only ever fails
                 // still fills its canary window.
-                with_canary_arm(shared, batch.to_canary, |arm| arm.record_error(n, tainted));
+                with_canary_arm(shared, batch.arm, |arm| arm.record_error(n, tainted));
                 let msg = err.to_string();
                 shared
                     .ledger
@@ -290,7 +293,7 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
                 // Soft recovery: answer the victims and rebuild the
                 // replica in place (the model may be mid-panic
                 // inconsistent).
-                with_canary_arm(shared, batch.to_canary, |arm| arm.record_error(n, tainted));
+                with_canary_arm(shared, batch.arm, |arm| arm.record_error(n, tainted));
                 let panicked = owned.into_iter().map(|p| (p, ServeError::WorkerPanicked));
                 shared.ledger.fail_all(panicked);
                 model = factory();
@@ -341,14 +344,7 @@ fn run_full(
         total += len;
     }
     let frac = selected as f32 / total.max(1) as f32;
-    let collapsed = shared
-        .breaker
-        .lock()
-        .unwrap()
-        .policy()
-        .collapse
-        .is_collapsed(frac);
-    if collapsed {
+    if shared.cfg.breaker.collapse.is_collapsed(frac) {
         // The selector degenerated: answer this batch from the full-text
         // path rather than shipping an empty/total "rationale".
         let outs = run_predictor(model, batch, version)?;
@@ -397,32 +393,19 @@ fn run_predictor(
     Ok(logits.argmax_rows().into_iter().map(answer).collect())
 }
 
-/// The active canary's slice modulus (0 when no canary is routing).
-fn canary_modulus(shared: &Shared) -> u64 {
-    if !shared.canary_active.load(Ordering::SeqCst) {
-        return 0;
-    }
-    shared
+/// Record into the arm a batch was claimed for — only while that
+/// canary's run is still active. A batch claimed with no canary routing
+/// never touches the canary lock.
+fn with_canary_arm(shared: &Shared, arm: Option<Arm>, record: impl FnOnce(&mut ArmStats)) {
+    let Some(arm) = arm else { return };
+    if let Some(stats) = shared
         .canary
         .lock()
         .unwrap()
-        .as_ref()
-        .map_or(0, |run| run.policy.slice_modulus)
-}
-
-/// Record into the arm a batch was routed to. A no-op when no canary is
-/// active (the clean serve path stays byte-identical in the
-/// deterministic obs section).
-fn with_canary_arm(shared: &Shared, to_canary: bool, record: impl FnOnce(&mut ArmStats)) {
-    if !shared.canary_active.load(Ordering::SeqCst) {
-        return;
-    }
-    if let Some(run) = shared.canary.lock().unwrap().as_mut() {
-        record(if to_canary {
-            &mut run.stats.candidate
-        } else {
-            &mut run.stats.incumbent
-        });
+        .as_mut()
+        .and_then(|run| run.arm(arm))
+    {
+        record(stats);
     }
 }
 

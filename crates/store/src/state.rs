@@ -390,6 +390,11 @@ impl DurableState {
     /// (step 1), commit the WAL record (step 2 — the commit point), swap
     /// the manifest (step 3). Returns the new generation. Double
     /// promotion of a terminal round is refused.
+    ///
+    /// Once the record commits the promotion stands: a failed manifest
+    /// swap still returns the new generation (and bumps the
+    /// `store.manifest_swap_failed` counter), since the next promotion's
+    /// swap or the next open's roll-forward repairs the manifest.
     pub fn log_promoted(&mut self, round: usize, candidate_path: &Path) -> DarResult<u64> {
         if self.is_terminal(round) {
             return Err(DarError::InvalidData(format!(
@@ -405,16 +410,15 @@ impl DurableState {
             generation,
             ckpt: ckpt.clone(),
         })?;
-        store_manifest(
-            &*self.storage,
-            &self.dir.join(MANIFEST_FILE),
-            &Manifest {
-                generation,
-                incumbent: ckpt.clone(),
-            },
-        )?;
         self.generation = generation;
-        self.incumbent = Some(ckpt);
+        self.incumbent = Some(ckpt.clone());
+        let manifest = Manifest {
+            generation,
+            incumbent: ckpt,
+        };
+        if store_manifest(&*self.storage, &self.dir.join(MANIFEST_FILE), &manifest).is_err() {
+            dar_obs::inc("store.manifest_swap_failed");
+        }
         Ok(generation)
     }
 
@@ -568,6 +572,44 @@ mod tests {
             .iter()
             .any(|x| matches!(x, StateRecord::TailTruncated { lost_bytes: 5 })));
         assert_eq!(r.truncated_bytes, 0);
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    #[test]
+    fn failed_manifest_swap_after_the_commit_keeps_the_promotion() {
+        let d = tmpdir("swapfail");
+        let cand0 = candidate(&d, "cand0.ckpt");
+        let cand1 = candidate(&d, "cand1.ckpt");
+        {
+            // Rename 0 lands the incumbent copy, rename 1 is the manifest
+            // swap — after the WAL append has committed the promotion.
+            let faulty = Arc::new(FaultyStorage::new(StorageFaultPlan {
+                fail_rename_at: Some(1),
+                ..Default::default()
+            }));
+            let (mut st, _) = DurableState::open(faulty, &d).unwrap();
+            assert_eq!(st.log_promoted(0, &cand0).unwrap(), 1);
+            assert!(st.is_terminal(0));
+            assert_eq!(st.generation(), 1);
+            assert_eq!(st.incumbent(), Some("incumbent_g1.ckpt"));
+            assert_eq!(st.log_promoted(1, &cand1).unwrap(), 2);
+            assert_eq!(st.incumbent(), Some("incumbent_g2.ckpt"));
+        }
+        let read = |name: &str| std::fs::read(d.join(name)).unwrap();
+        assert_eq!(read("incumbent_g1.ckpt"), b"weights:cand0.ckpt");
+        assert_eq!(read("incumbent_g2.ckpt"), b"weights:cand1.ckpt");
+        let (st, r) = DurableState::open(real(), &d).unwrap();
+        assert_eq!(st.generation(), 2);
+        assert_eq!(st.incumbent(), Some("incumbent_g2.ckpt"));
+        let generations: Vec<u64> = r
+            .records
+            .iter()
+            .filter_map(|x| match x {
+                StateRecord::Promoted { generation, .. } => Some(*generation),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(generations, [1, 2], "one record per generation");
         std::fs::remove_dir_all(&d).ok();
     }
 

@@ -340,7 +340,7 @@ mod tests {
         assert!(s.append_sync(&f, b"second").is_err(), "boundary op dies");
         assert!(s.append_sync(&f, b"third").is_err(), "post-crash op dies");
         let len = RealStorage.read(&f).unwrap().len();
-        assert!(len >= 5 && len < 11, "boundary tear kept {len} bytes");
+        assert!((5..11).contains(&len), "boundary tear kept {len} bytes");
         std::fs::remove_dir_all(&d).ok();
     }
 

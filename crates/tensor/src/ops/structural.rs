@@ -274,7 +274,7 @@ mod tests {
         assert!(x.try_narrow(1, 1, 2).is_err());
         assert!(x.try_narrow(5, 0, 1).is_err());
         assert!(super::try_concat(&[], 0).is_err());
-        assert!(super::try_concat(&[x.clone()], 3).is_err());
+        assert!(super::try_concat(std::slice::from_ref(&x), 3).is_err());
         let y = Tensor::new(vec![0.0; 2], &[1, 2]);
         assert!(super::try_concat(&[x.clone(), y.clone()], 0).is_ok());
         assert!(super::try_concat(&[x.clone(), y.clone()], 1).is_err());

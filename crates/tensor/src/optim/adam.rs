@@ -226,9 +226,9 @@ mod tests {
         let mut opt = Adam::with_lr(0.1);
         for _ in 0..300 {
             let loss = p.square().sum();
-            zero_grads(&[p.clone()]);
+            zero_grads(std::slice::from_ref(&p));
             loss.backward();
-            opt.step(&[p.clone()]);
+            opt.step(std::slice::from_ref(&p));
         }
         let v = p.to_vec();
         assert!(v.iter().all(|x| x.abs() < 1e-2), "did not converge: {v:?}");
@@ -240,7 +240,7 @@ mod tests {
         let p = Tensor::param(vec![1.0], &[1]);
         let mut opt = Adam::with_lr(0.5);
         p.accumulate_grad(&[0.123]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         assert!((p.item() - (1.0 - 0.5)).abs() < 1e-3, "got {}", p.item());
     }
 
@@ -248,7 +248,7 @@ mod tests {
     fn skips_params_without_grad() {
         let p = Tensor::param(vec![1.0], &[1]);
         let mut opt = Adam::with_lr(0.5);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         assert_eq!(p.item(), 1.0);
     }
 
@@ -257,7 +257,7 @@ mod tests {
         let p = Tensor::param(vec![1.0], &[1]);
         let mut opt = Adam::with_lr(0.5);
         p.accumulate_grad(&[f32::NAN]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         assert!(p.item().is_finite());
     }
 
@@ -270,20 +270,22 @@ mod tests {
             let mut opt = Adam::with_lr(0.1);
             for step in 0..20 {
                 if resume_at == Some(step) {
-                    let state = opt.export_state(&[p.clone()]);
+                    let state = opt.export_state(std::slice::from_ref(&p));
                     let mut buf = Vec::new();
                     state.encode(&mut buf);
                     let decoded =
                         AdamState::decode(&mut crate::serial::codec::Cursor::new(&buf)).unwrap();
                     assert_eq!(decoded, state);
                     let mut fresh = Adam::with_lr(999.0); // lr comes from the state
-                    fresh.import_state(&[p.clone()], &decoded).unwrap();
+                    fresh
+                        .import_state(std::slice::from_ref(&p), &decoded)
+                        .unwrap();
                     opt = fresh;
                 }
                 let loss = p.square().sum();
-                zero_grads(&[p.clone()]);
+                zero_grads(std::slice::from_ref(&p));
                 loss.backward();
-                opt.step(&[p.clone()]);
+                opt.step(std::slice::from_ref(&p));
             }
             p.to_vec()
         };
@@ -299,7 +301,7 @@ mod tests {
             lr: 0.1,
             slots: vec![],
         };
-        assert!(opt.import_state(&[p.clone()], &bad).is_err());
+        assert!(opt.import_state(std::slice::from_ref(&p), &bad).is_err());
         let bad = AdamState {
             t: 1,
             lr: 0.1,
@@ -317,7 +319,7 @@ mod tests {
             ..Default::default()
         });
         p.accumulate_grad(&[0.0]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         assert!(p.item() < 10.0);
     }
 }

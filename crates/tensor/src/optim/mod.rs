@@ -75,17 +75,17 @@ mod tests {
     fn grad_norm_and_clip() {
         let p = Tensor::param(vec![0.0, 0.0], &[2]);
         p.accumulate_grad(&[3.0, 4.0]);
-        assert!((grad_norm(&[p.clone()]) - 5.0).abs() < 1e-6);
-        let pre = clip_grad_norm(&[p.clone()], 1.0);
+        assert!((grad_norm(std::slice::from_ref(&p)) - 5.0).abs() < 1e-6);
+        let pre = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert!((pre - 5.0).abs() < 1e-6);
-        assert!((grad_norm(&[p.clone()]) - 1.0).abs() < 1e-5);
+        assert!((grad_norm(std::slice::from_ref(&p)) - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn clip_noop_under_threshold() {
         let p = Tensor::param(vec![0.0], &[1]);
         p.accumulate_grad(&[0.5]);
-        clip_grad_norm(&[p.clone()], 1.0);
+        clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert_eq!(p.grad_vec().unwrap(), vec![0.5]);
     }
 
@@ -93,7 +93,7 @@ mod tests {
     fn zero_grads_clears() {
         let p = Tensor::param(vec![0.0], &[1]);
         p.accumulate_grad(&[1.0]);
-        zero_grads(&[p.clone()]);
+        zero_grads(std::slice::from_ref(&p));
         assert!(p.grad_vec().is_none());
     }
 }

@@ -70,7 +70,7 @@ mod tests {
         let p = Tensor::param(vec![1.0], &[1]);
         let mut opt = Sgd::new(0.1, 0.0);
         p.accumulate_grad(&[2.0]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         assert!((p.item() - 0.8).abs() < 1e-6);
     }
 
@@ -79,11 +79,11 @@ mod tests {
         let p = Tensor::param(vec![1.0], &[1]);
         let mut opt = Sgd::new(0.1, 0.9);
         p.accumulate_grad(&[1.0]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         let after_one = p.item();
         p.zero_grad();
         p.accumulate_grad(&[1.0]);
-        opt.step(&[p.clone()]);
+        opt.step(std::slice::from_ref(&p));
         // Second step moves further than the first (velocity build-up).
         assert!((1.0 - after_one) < (after_one - p.item()));
     }
@@ -94,9 +94,9 @@ mod tests {
         let mut opt = Sgd::new(0.05, 0.5);
         for _ in 0..200 {
             let loss = p.square().sum();
-            zero_grads(&[p.clone()]);
+            zero_grads(std::slice::from_ref(&p));
             loss.backward();
-            opt.step(&[p.clone()]);
+            opt.step(std::slice::from_ref(&p));
         }
         assert!(p.item().abs() < 1e-3);
     }

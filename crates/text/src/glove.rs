@@ -167,7 +167,7 @@ mod tests {
         for (&(i, j), &c) in &counts {
             assert_eq!(counts.get(&(j, i)).copied().unwrap_or(0.0), c);
         }
-        assert!(counts.get(&(3, 5)).is_none(), "cross-cluster co-occurrence");
+        assert!(!counts.contains_key(&(3, 5)), "cross-cluster co-occurrence");
     }
 
     #[test]

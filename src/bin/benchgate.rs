@@ -20,6 +20,7 @@
 
 use std::path::Path;
 
+use dar::cli::{bool_flag, flag};
 use dar::obs::json::parse_flat;
 
 /// Higher-is-better metrics per trajectory file: fresh must stay above
@@ -351,13 +352,6 @@ fn self_test() {
     println!("benchgate: self-test ok");
 }
 
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -365,7 +359,7 @@ fn main() {
         eprintln!("       DAR_BENCHGATE=off benchgate ...   # skip (exit 0)");
         std::process::exit(2);
     }
-    if args.iter().any(|a| a == "--self-test") {
+    if bool_flag(&args, "--self-test") {
         self_test();
         return;
     }
@@ -373,11 +367,11 @@ fn main() {
         println!("benchgate: DAR_BENCHGATE=off — skipping regression gate");
         return;
     }
-    let baseline = str_flag(&args, "--baseline").unwrap_or_else(|| {
+    let baseline: String = flag(&args, "--baseline").unwrap_or_else(|| {
         eprintln!("missing --baseline DIR");
         std::process::exit(2);
     });
-    let fresh = str_flag(&args, "--fresh").unwrap_or_else(|| {
+    let fresh: String = flag(&args, "--fresh").unwrap_or_else(|| {
         eprintln!("missing --fresh DIR");
         std::process::exit(2);
     });

@@ -13,6 +13,7 @@
 
 use std::path::PathBuf;
 
+use dar::cli::{bool_flag, flag};
 use dar::core::guard::{GuardPolicy, GuardedTrainer, TrainEvent};
 use dar::core::models;
 use dar::data::DatasetStats;
@@ -38,24 +39,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn flag(args: &[String], name: &str) -> Option<f32> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn bool_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
 }
 
 fn parse_aspect(s: &str) -> Aspect {
@@ -108,12 +91,14 @@ fn train(args: &[String], show: bool) {
         eprintln!("missing ASPECT");
         std::process::exit(2);
     }));
-    let epochs = flag(args, "--epochs").map(|v| v as usize).unwrap_or(10);
-    let scale = flag(args, "--scale").unwrap_or(0.4);
-    let seed = flag(args, "--seed").map(|v| v as u64).unwrap_or(17);
-    let sparsity = flag(args, "--sparsity").unwrap_or(0.15);
-    let ckpt_dir = str_flag(args, "--checkpoint-dir").map(PathBuf::from);
-    let obs_out = str_flag(args, "--obs-out").map(PathBuf::from);
+    let epochs = flag::<f32>(args, "--epochs")
+        .map(|v| v as usize)
+        .unwrap_or(10);
+    let scale = flag::<f32>(args, "--scale").unwrap_or(0.4);
+    let seed = flag::<f32>(args, "--seed").map(|v| v as u64).unwrap_or(17);
+    let sparsity = flag::<f32>(args, "--sparsity").unwrap_or(0.15);
+    let ckpt_dir: Option<PathBuf> = flag(args, "--checkpoint-dir");
+    let obs_out: Option<PathBuf> = flag(args, "--obs-out");
     let resume = bool_flag(args, "--resume");
     let guard = bool_flag(args, "--guard");
     if (resume || guard) && ckpt_dir.is_none() {

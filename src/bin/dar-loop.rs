@@ -33,34 +33,16 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use dar::cli::{bool_flag, flag};
 use dar::core::stream::{spawn_online_trainer, CandidateMsg, FeedConfig, OnlineTrainerConfig};
 use dar::data::Review;
 use dar::prelude::*;
 use dar::serve::{
-    run_online_loop, run_online_loop_durable, CanaryPolicy, OnlineLoopConfig, PromotionPhase,
-    ServeConfig, Server,
+    run_online_loop, CanaryPolicy, OnlineLoopConfig, PromotionPhase, ServeConfig, Server,
 };
 use dar::store::{DurableState, RealStorage, StateRecord, Wal, WAL_FILE};
 use dar::tensor::serial::{self, Checkpoint};
 use dar::tensor::Tensor;
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn bool_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
 
 /// A checkpoint that predicts `label` for *every* input: all parameters
 /// zeroed except 2-element tensors (the classifier bias), which get +8
@@ -94,13 +76,12 @@ fn biased_checkpoint(factory: &dar::serve::ModelFactory, label: usize) -> Checkp
 /// even rounds predict label 1 (the traffic's label → accuracy 1.0 →
 /// promoted), odd rounds predict label 0 (accuracy 0.0 → rolled back).
 fn drill_main(args: &[String]) {
-    let rounds = flag(args, "--rounds").unwrap_or(4) as usize;
-    let state_dir =
-        PathBuf::from(str_flag(args, "--state-dir").expect("--drill requires --state-dir DIR"));
+    let rounds = flag(args, "--rounds").unwrap_or(4);
+    let state_dir: PathBuf = flag(args, "--state-dir").expect("--drill requires --state-dir DIR");
     let recover = bool_flag(args, "--recover");
     let delay_ms = flag(args, "--round-delay-ms").unwrap_or(0);
-    let wal_pad = flag(args, "--wal-pad");
-    let out_dir = str_flag(args, "--out").map(PathBuf::from);
+    let wal_pad: Option<u64> = flag(args, "--wal-pad");
+    let out_dir: Option<PathBuf> = flag(args, "--out");
 
     if !recover {
         std::fs::remove_dir_all(&state_dir).ok();
@@ -218,7 +199,7 @@ fn drill_main(args: &[String]) {
         wave: 16,
         max_waves: 64,
     };
-    let report = run_online_loop_durable(&server, &rx, &traffic, &loop_cfg, &mut state);
+    let report = run_online_loop(&server, &rx, &traffic, &loop_cfg, Some(&mut state));
     feeder.join().expect("joining drill feeder");
     let stats = server.shutdown();
 
@@ -300,16 +281,15 @@ fn main() {
         drill_main(&args);
         return;
     }
-    let rounds = flag(&args, "--rounds").unwrap_or(3) as usize;
-    let wave = flag(&args, "--wave").unwrap_or(16) as usize;
+    let rounds = flag(&args, "--rounds").unwrap_or(3);
+    let wave = flag(&args, "--wave").unwrap_or(16);
     let seed = flag(&args, "--seed").unwrap_or(42);
-    let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
+    let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
     std::fs::create_dir_all(&out_dir).expect("creating output dir");
     let recover = bool_flag(&args, "--recover");
 
     // Optional durable journal: verdicts WAL-committed before effect.
-    let mut durable = str_flag(&args, "--state-dir").map(|dir| {
-        let dir = PathBuf::from(dir);
+    let mut durable = flag::<PathBuf>(&args, "--state-dir").map(|dir| {
         if !recover {
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -438,10 +418,7 @@ fn main() {
     };
     let traffic: Vec<Review> = data.test.clone();
     let started = Instant::now();
-    let report = match durable.as_mut() {
-        Some(state) => run_online_loop_durable(&server, &candidates, &traffic, &loop_cfg, state),
-        None => run_online_loop(&server, &candidates, &traffic, &loop_cfg),
-    };
+    let report = run_online_loop(&server, &candidates, &traffic, &loop_cfg, durable.as_mut());
     let elapsed = started.elapsed();
     trainer.join().expect("joining the trainer thread");
 

@@ -34,25 +34,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dar::cli::{bool_flag, flag};
 use dar::core::fault::StallPlan;
 use dar::data::Review;
 use dar::prelude::*;
 use dar::serve::{HealthPolicy, ServeConfig, ServeError, Server, StealPolicy};
 use dar::tensor::serial::{self, Checkpoint};
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,15 +51,15 @@ fn main() {
         std::process::exit(2);
     }
     let seed = flag(&args, "--seed").unwrap_or(42);
-    let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
-    if args.iter().any(|a| a == "--health-bench") {
+    let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
+    if bool_flag(&args, "--health-bench") {
         health_bench(seed, &out_dir);
-    } else if args.iter().any(|a| a == "--saturate") {
-        let n_requests = flag(&args, "--requests").unwrap_or(1024) as usize;
+    } else if bool_flag(&args, "--saturate") {
+        let n_requests = flag(&args, "--requests").unwrap_or(1024);
         saturate(n_requests, seed, &out_dir);
     } else {
-        let n_requests = flag(&args, "--requests").unwrap_or(400) as usize;
-        let replicas = flag(&args, "--replicas").unwrap_or(0) as usize;
+        let n_requests = flag(&args, "--requests").unwrap_or(400);
+        let replicas = flag(&args, "--replicas").unwrap_or(0);
         demo(n_requests, replicas, seed, &out_dir);
     }
 }

@@ -14,18 +14,12 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use dar::cli::{bool_flag, flag};
 use dar::prelude::*;
 use dar::tensor::ops::kernel::blocked::simd_level;
 use dar::tensor::ops::rnn::gru_seq;
 use dar::tensor::{kernel_for, with_kernel_backend, Kernel, KernelBackend};
 use dar::Tensor;
-
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Examples/second for `steps` optimisation steps on a fresh,
 /// identically-seeded model. The model is rebuilt per run so every
@@ -256,10 +250,10 @@ fn kernels_main(out_dir: &std::path::Path) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if !args.iter().any(|a| a == "--kernels") || args.iter().any(|a| a == "--help" || a == "-h") {
+    if !bool_flag(&args, "--kernels") || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: numbench --kernels [--out DIR]");
         std::process::exit(2);
     }
-    let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
+    let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
     kernels_main(&out_dir);
 }

@@ -17,21 +17,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use dar::cli::flag;
 use dar::prelude::*;
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-fn str_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Examples/second for `steps` optimisation steps on a fresh,
 /// identically-seeded model. The model is rebuilt per run so both
@@ -68,10 +55,10 @@ fn main() {
         eprintln!("usage: obsbench [--steps N] [--batch N] [--seed N] [--out DIR]");
         std::process::exit(2);
     }
-    let steps = flag(&args, "--steps").unwrap_or(60) as usize;
-    let batch_size = flag(&args, "--batch").unwrap_or(32) as usize;
+    let steps = flag(&args, "--steps").unwrap_or(60);
+    let batch_size = flag(&args, "--batch").unwrap_or(32);
     let seed = flag(&args, "--seed").unwrap_or(42);
-    let out_dir = PathBuf::from(str_flag(&args, "--out").unwrap_or_else(|| "results".into()));
+    let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
 
     let synth = SynthConfig {
         n_train: 128,

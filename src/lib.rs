@@ -19,7 +19,8 @@
 //!   snapshots; see DESIGN.md §12);
 //! * [`store`] — the crash-consistent durability layer (write-ahead
 //!   state journal, generation manifest, fault-injectable storage; see
-//!   DESIGN.md §15).
+//!   DESIGN.md §15);
+//! * [`cli`] — the flag parsing the binaries under `src/bin/` share.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
@@ -39,6 +40,8 @@
 //! let report = Trainer::default().fit(&mut model, &data, &mut rng);
 //! println!("rationale F1: {:.1}%", report.test.f1 * 100.0);
 //! ```
+
+pub mod cli;
 
 pub use dar_core as core;
 pub use dar_data as data;

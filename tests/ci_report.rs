@@ -166,3 +166,36 @@ fn selftest_stage_is_hidden_without_optin() {
         "kernel lanes missing from the stage list:\n{stages}"
     );
 }
+
+#[test]
+fn one_stage_run_leaves_the_committed_report_alone() {
+    // A copy of the script in a scratch tree holding a committed report:
+    // ci.sh works relative to its own directory.
+    let root = std::env::temp_dir().join(format!("dar_ci_copy_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("results")).unwrap();
+    std::fs::copy(repo_root().join("ci.sh"), root.join("ci.sh")).unwrap();
+    let committed = root.join("results/ci_report.json");
+    let seeded = "{\n  \"schema_version\": 1,\n  \"stages\": {\"fmt\": {\"status\": \"ok\", \"seconds\": 1}}\n}\n";
+    std::fs::write(&committed, seeded).unwrap();
+
+    for (stage, code) in [("no-such-stage", 2), ("selftest-fail", 1)] {
+        let out = Command::new("bash")
+            .arg(root.join("ci.sh"))
+            .args(["--stage", stage])
+            .env("DAR_CI_SELFTEST", "1")
+            .env_remove("DAR_CI_REPORT")
+            .output()
+            .expect("spawn bash ci.sh");
+        assert_eq!(out.status.code(), Some(code), "--stage {stage}");
+        assert_eq!(
+            std::fs::read_to_string(&committed).unwrap(),
+            seeded,
+            "--stage {stage} rewrote the committed full-run report"
+        );
+        let report = std::fs::read_to_string(root.join("target/ci_report.json"))
+            .unwrap_or_else(|e| panic!("--stage {stage} wrote no report under target/: {e}"));
+        assert_valid_json(&report, stage);
+    }
+    std::fs::remove_dir_all(&root).ok();
+}

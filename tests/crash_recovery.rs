@@ -123,8 +123,8 @@ fn assert_journal_invariants(records: &[StateRecord]) {
 
 /// The scripted controller the in-process drills share: canary every
 /// unfinished round, promote the even ones, roll back the odd ones,
-/// advance the cursor — the same decision shape `run_online_loop_durable`
-/// journals, minus the serving stack.
+/// advance the cursor — the same decision shape a durable
+/// `run_online_loop` journals, minus the serving stack.
 fn drive_script(state: &mut DurableState, rounds: usize, cand: &Path) -> DarResult<()> {
     for r in state.resume_round()..rounds {
         if state.is_terminal(r) {

@@ -18,18 +18,20 @@
 //! * **Trainer failure is a message, not a fault** — a trainer panic
 //!   mid-epoch surfaces as `TrainerDied` and leaves serving untouched.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dar::core::guard::GuardPolicy;
-use dar::core::stream::{spawn_online_trainer, FeedConfig, OnlineTrainerConfig};
+use dar::core::stream::{spawn_online_trainer, CandidateMsg, FeedConfig, OnlineTrainerConfig};
 use dar::data::Review;
 use dar::prelude::*;
 use dar::serve::{
-    run_online_loop, BreakerPolicy, BreakerState, CanaryOutcome, CanaryPolicy, OnlineLoopConfig,
-    PromotionPhase, RollbackCause, ServeConfig, Server,
+    decide, run_online_loop, BreakerPolicy, BreakerState, CanaryDecision, CanaryOutcome,
+    CanaryPolicy, OnlineLoopConfig, PromotionPhase, RollbackCause, ServeConfig, Server,
 };
+use dar::store::{DurableState, FaultyStorage, RealStorage, StorageFaultPlan};
 use dar::tensor::serial::{self, Checkpoint};
+use dar::tensor::{DarError, DarResult};
 
 /// The obs registry is process-global and cargo runs `#[test]`s of one
 /// binary concurrently; every test takes this lock and resets.
@@ -576,7 +578,7 @@ fn trainer_panic_leaves_serving_untouched() {
         wave: 8,
         max_waves: 64,
     };
-    let report = run_online_loop(&server, &candidates, &fx.data.test, &loop_cfg);
+    let report = run_online_loop(&server, &candidates, &fx.data.test, &loop_cfg, None);
     trainer.join().expect("the panic was caught inside");
 
     assert!(report.trainer_died, "the death must surface as a message");
@@ -642,7 +644,7 @@ fn closed_loop_survives_a_poisoned_feed() {
         wave: 12,
         max_waves: 64,
     };
-    let report = run_online_loop(&server, &candidates, &fx.data.test, &loop_cfg);
+    let report = run_online_loop(&server, &candidates, &fx.data.test, &loop_cfg, None);
     trainer.join().expect("trainer exits cleanly");
 
     assert!(!report.trainer_died);
@@ -668,4 +670,176 @@ fn closed_loop_survives_a_poisoned_feed() {
         "poison was injected and filtered: {det}"
     );
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// A durability pre-commit hook whose journal never commits.
+fn failing_journal(_: &CanaryDecision) -> DarResult<()> {
+    Err(DarError::InvalidData("journal unavailable".into()))
+}
+
+/// Drive sequential traffic until the verdict is due and settle it
+/// through [`failing_journal`].
+fn conclude_with_a_failing_journal(server: &Server, traffic: &[Review]) -> CanaryOutcome {
+    for i in 0..4000 {
+        server
+            .submit(traffic[i % traffic.len()].clone())
+            .wait()
+            .expect("clean traffic serves");
+        if let Some(outcome) = server.try_conclude_canary_with(failing_journal) {
+            return outcome;
+        }
+    }
+    panic!("canary never filled its window");
+}
+
+/// A promotion whose durable record cannot commit must not happen: the
+/// server vetoes it into a `durability_failed` rollback, the incumbent
+/// keeps serving, and no swap is journaled.
+#[test]
+fn failed_durable_record_vetoes_a_promotion() {
+    let _g = obs_lock();
+    let fx = Fixture::new(600);
+    let ckpt = fx.biased_checkpoint("veto_promote", 1);
+    let traffic = fx.ones();
+    dar::obs::reset();
+    dar::obs::set_enabled(true);
+
+    let server = Server::start(fx.serve_cfg(1), fx.factory());
+    let policy = CanaryPolicy {
+        window: 20,
+        max_f1_drop: 1.0,
+        ..CanaryPolicy::default()
+    };
+    assert_eq!(
+        server.begin_canary(&ckpt, policy.clone()).expect("begins"),
+        2
+    );
+    let outcome = conclude_with_a_failing_journal(&server, &traffic);
+    assert_eq!(
+        decide(&policy, &outcome.snapshot),
+        Ok(()),
+        "the verdict itself was a promotion"
+    );
+    assert_eq!(outcome.phase, PromotionPhase::RolledBack);
+    assert_eq!(outcome.cause, Some(RollbackCause::DurabilityFailed));
+    assert_eq!(outcome.version, 2);
+    assert!(server.canary_snapshot().is_none(), "the run is settled");
+
+    let out = server.submit(traffic[0].clone()).wait().expect("serves");
+    assert_eq!(out.weights_version, 1, "the incumbent was never displaced");
+    assert_eq!(server.weights_version(), 1);
+    server.shutdown();
+
+    let det = dar::obs::snapshot("loop").deterministic_json();
+    assert_eq!(
+        events_section(&det),
+        "\"events\":[\
+         {\"seq\":0,\"kind\":\"canary_started\",\"version\":2},\
+         {\"seq\":1,\"kind\":\"candidate_rolled_back\",\"version\":2,\
+           \"cause\":\"durability_failed\"}],\
+         \"events_dropped\":0}",
+        "full deterministic section: {det}"
+    );
+    std::fs::remove_file(ckpt).ok();
+}
+
+/// A failed durable record vetoes promotions only: a rollback verdict
+/// keeps its own cause.
+#[test]
+fn failed_durable_record_keeps_a_rollbacks_own_cause() {
+    let _g = obs_lock();
+    let fx = Fixture::new(610);
+    let good = fx.biased_checkpoint("veto_good", 1);
+    let bad = fx.biased_checkpoint("veto_bad", 0);
+    let traffic = fx.ones();
+    dar::obs::reset();
+    dar::obs::set_enabled(true);
+
+    let server = Server::start(fx.serve_cfg(1), fx.factory());
+    assert_eq!(server.offer_checkpoint(&good).expect("good offer"), 2);
+    let policy = CanaryPolicy {
+        window: 20,
+        max_f1_drop: 1.0,
+        ..CanaryPolicy::default()
+    };
+    assert_eq!(server.begin_canary(&bad, policy).expect("begins"), 3);
+    let outcome = conclude_with_a_failing_journal(&server, &traffic);
+    assert_eq!(outcome.phase, PromotionPhase::RolledBack);
+    assert_eq!(outcome.cause, Some(RollbackCause::AccuracyRegressed));
+    assert_eq!(server.weights_version(), 2);
+    server.shutdown();
+
+    let det = dar::obs::snapshot("loop").deterministic_json();
+    assert!(
+        det.contains(
+            "\"kind\":\"candidate_rolled_back\",\"version\":3,\"cause\":\"accuracy_regressed\""
+        ),
+        "journal: {det}"
+    );
+    std::fs::remove_file(good).ok();
+    std::fs::remove_file(bad).ok();
+}
+
+/// The WAL append is a promotion's commit point (DESIGN.md §15): a
+/// manifest swap that fails after it leaves the promotion standing. The
+/// durable loop reports `Promoted`, the candidate serves, and a reopen
+/// rolls the manifest forward to the committed generation.
+#[test]
+fn durable_promotion_survives_a_failed_manifest_swap() {
+    let _g = obs_lock();
+    let fx = Fixture::new(600);
+    let ckpt = fx.biased_checkpoint("swapfail_cand", 1);
+    let traffic = fx.ones();
+    let dir = tmpfile("swapfail_state");
+    std::fs::remove_dir_all(&dir).ok();
+    dar::obs::reset();
+    dar::obs::set_enabled(true);
+
+    // Rename 0 lands the incumbent copy; rename 1 is the manifest swap,
+    // after the WAL append has committed the promotion.
+    let storage = Arc::new(FaultyStorage::new(StorageFaultPlan {
+        fail_rename_at: Some(1),
+        ..StorageFaultPlan::default()
+    }));
+    let (mut state, _) = DurableState::open(storage, &dir).expect("opening state");
+    let (tx, candidates) = mpsc::channel();
+    tx.send(CandidateMsg::Candidate {
+        round: 0,
+        path: ckpt.clone(),
+        trained_on: 0,
+        rejected: 0,
+    })
+    .unwrap();
+    tx.send(CandidateMsg::Finished).unwrap();
+
+    let server = Server::start(fx.serve_cfg(1), fx.factory());
+    let loop_cfg = OnlineLoopConfig {
+        policy: CanaryPolicy {
+            window: 20,
+            max_f1_drop: 1.0,
+            ..CanaryPolicy::default()
+        },
+        wave: 8,
+        max_waves: 64,
+    };
+    let report = run_online_loop(&server, &candidates, &traffic, &loop_cfg, Some(&mut state));
+    assert_eq!(report.promoted, 1, "{report:?}");
+    let outcome = report.rounds[0].outcome.as_ref().expect("a verdict");
+    assert_eq!(outcome.phase, PromotionPhase::Promoted);
+    assert_eq!(state.generation(), 1);
+    let out = server.submit(traffic[0].clone()).wait().expect("serves");
+    assert_eq!(out.weights_version, 2, "the candidate serves");
+    server.shutdown();
+
+    let det = dar::obs::snapshot("loop").deterministic_json();
+    assert!(
+        det.contains("\"store.manifest_swap_failed\":1"),
+        "the swap failure stays visible: {det}"
+    );
+    drop(state);
+    let (state, recovery) = DurableState::open(Arc::new(RealStorage), &dir).expect("reopening");
+    assert!(recovery.rolled_forward);
+    assert_eq!(state.generation(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(ckpt).ok();
 }
