@@ -51,6 +51,22 @@ st_shim_tests() {
 # still compiles after API changes in the crates it drives.
 st_darbench() { cargo test --release --offline --manifest-path darbench/Cargo.toml; }
 
+# The benchmark's own output checks (darbench/README.md: every answer
+# against a solo `infer`, exactly-once outcomes, finite losses), which
+# its self-tests never run: both workloads through the BENCHMARK.json
+# command on a short run (~40 s on 2 vCPUs). A run passes only if its
+# last line reports `"correct": true` and `"failed": 0`.
+st_darbench_smoke() {
+    local w last
+    for w in dar dar_light_swap; do
+        last=$(cargo run --release --quiet --offline --manifest-path darbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 3 --trace 0 | tail -n 1) || return 1
+        echo "$w: $last"
+        [[ $last == *'"correct": true,'* && $last == *'"failed": 0,'* ]] ||
+            { echo "ci.sh: darbench $w run is not correct"; return 1; }
+    done
+}
+
 # The full suite runs under two thread budgets. Results must not depend
 # on the budget (DESIGN.md §9) — a test that passes serially but fails
 # parallel (or vice versa) is a determinism bug, not flakiness. These two
@@ -167,7 +183,7 @@ st_selftest_fail() {
 # Fail-fast order: text gates (fmt, ops-deny, kernel-deny) cost seconds
 # and run before anything build-heavy; clippy compiles but still beats a
 # full release build + test sweep.
-STAGE_NAMES=(fmt ops-deny kernel-deny clippy build shim-tests darbench test-t1 test-t4
+STAGE_NAMES=(fmt ops-deny kernel-deny clippy build shim-tests darbench darbench-smoke test-t1 test-t4
     serve-bench serve-saturation health-bench loop-bench recovery-drill
     obsbench kernel-bench benchgate)
 [[ ${DAR_CI_SELFTEST:-0} == 1 ]] && STAGE_NAMES+=(selftest-fail)

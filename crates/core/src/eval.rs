@@ -151,8 +151,9 @@ pub fn evaluate_model(
     }
 }
 
-/// Predicted labels of the model's full-text path over a split (Table I
-/// inputs).
+/// Predicted labels of the model's alignment probe over a split (Table I
+/// inputs): [`RationaleModel::full_text_probe`] alone, without the
+/// rationale passes of `infer`.
 pub fn full_text_predictions(
     model: &dyn RationaleModel,
     reviews: &[Review],
@@ -161,8 +162,8 @@ pub fn full_text_predictions(
     let mut preds = Vec::with_capacity(reviews.len());
     let mut gold = Vec::with_capacity(reviews.len());
     for batch in BatchIter::sequential(reviews, batch_size) {
-        let inf = dar_tensor::no_grad(|| model.infer(&batch));
-        let logits = inf.full_logits.expect("model has no full-text path");
+        let logits = dar_tensor::no_grad(|| model.full_text_probe(&batch))
+            .expect("model has no full-text path");
         preds.extend(logits.argmax_rows());
         gold.extend_from_slice(&batch.labels);
     }
@@ -189,7 +190,7 @@ mod tests {
         fn train_step(&mut self, _: &Batch, _: &mut dar_tensor::Rng) -> f32 {
             0.0
         }
-        fn infer(&self, batch: &Batch) -> Inference {
+        fn answer(&self, batch: &Batch) -> Inference {
             let masks: Vec<Vec<f32>> = batch
                 .rationales
                 .iter()
@@ -220,7 +221,7 @@ mod tests {
         fn train_step(&mut self, _: &Batch, _: &mut dar_tensor::Rng) -> f32 {
             0.0
         }
-        fn infer(&self, batch: &Batch) -> Inference {
+        fn answer(&self, batch: &Batch) -> Inference {
             let masks = vec![vec![1.0; batch.seq_len()]; batch.len()];
             let mut logits = vec![0.0f32; batch.len() * 2];
             for i in 0..batch.len() {
@@ -270,6 +271,28 @@ mod tests {
         assert_eq!(m.sparsity, 1.0);
         assert_eq!(m.acc, Some(0.5)); // predicts 0 always; one gold 0.
         assert_eq!(m.full_text_acc, None);
+    }
+
+    #[test]
+    fn full_text_predictions_read_the_probe_of_infer() {
+        use crate::models::by_name;
+        use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+
+        let data = tiny_dataset(60);
+        let emb = tiny_embedding(&data, 61);
+        let mut rng = dar_tensor::rng(62);
+        for name in ["RNP", "DAR", "DMR", "RNP-os"] {
+            let model = by_name(name, &tiny_config(), &emb, &data, 1, &mut rng).unwrap();
+            let (preds, gold) = full_text_predictions(model.as_ref(), &data.test, 16);
+            let mut want = Vec::new();
+            for batch in BatchIter::sequential(&data.test, 16) {
+                let full = dar_tensor::no_grad(|| model.infer(&batch)).full_logits;
+                want.extend(full.unwrap().argmax_rows());
+            }
+            assert_eq!(preds, want, "{name}: probe predictions differ from infer's");
+            let labels: Vec<usize> = data.test.iter().map(|r| r.label).collect();
+            assert_eq!(gold, labels);
+        }
     }
 
     #[test]

@@ -157,8 +157,12 @@ impl<M: RationaleModel> RationaleModel for FaultyModel<M> {
         self.inject(step, loss)
     }
 
-    fn infer(&self, batch: &dar_data::Batch) -> Inference {
-        self.inner.infer(batch)
+    fn answer(&self, batch: &dar_data::Batch) -> Inference {
+        self.inner.answer(batch)
+    }
+
+    fn full_text_probe(&self, batch: &dar_data::Batch) -> Option<Tensor> {
+        self.inner.full_text_probe(batch)
     }
 
     fn predict_full_text(&self, batch: &dar_data::Batch) -> Option<Tensor> {
@@ -179,35 +183,36 @@ impl<M: RationaleModel> RationaleModel for FaultyModel<M> {
 }
 
 /// Serving-side chaos schedule: trigger **token ids** that fire faults
-/// inside [`RationaleModel::infer`] only. The full-text path
+/// inside [`RationaleModel::answer`] — the served path, and so also
+/// [`RationaleModel::infer`] — only. The full-text path
 /// (`predict_full_text`) stays clean, modelling a failure localized to
 /// the generator — exactly the situation the serving breaker's
 /// predictor-only degraded mode exists for.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosPlan {
-    /// A batch containing this token panics mid-`infer`.
+    /// A batch containing this token panics mid-`answer`.
     pub panic_token: Option<usize>,
     /// A batch containing this token returns an all-zero rationale
-    /// (collapse) from `infer`.
+    /// (collapse) from `answer`.
     pub collapse_token: Option<usize>,
     /// A batch containing this token sleeps this many milliseconds
-    /// before `infer` returns.
+    /// before `answer` returns.
     pub slow_token: Option<(usize, u64)>,
     /// A batch containing this token panics inside `predict_full_text`
     /// too — the fault that drives a breaker past predictor-only
     /// degradation into a full shed.
     pub full_panic_token: Option<usize>,
-    /// A batch containing this token gets its `infer` logits poisoned
+    /// A batch containing this token gets its `answer` logits poisoned
     /// with NaN through a real `0/0` div op, so the serving taint layer
     /// can attribute the failure to `div`.
     pub nan_logit_token: Option<usize>,
-    /// Stall faults: the worker wedges inside `infer` without panicking
+    /// Stall faults: the worker wedges inside `answer` without panicking
     /// — the failure class the serving watchdog (DESIGN.md §16) exists
     /// for, invisible to panic-based supervision.
     pub stall: StallPlan,
 }
 
-/// Wedge schedule for [`ChaosModel`]: trigger tokens that make `infer`
+/// Wedge schedule for [`ChaosModel`]: trigger tokens that make `answer`
 /// hang. `sleep` models a worker blocked on I/O or a lock (scheduled but
 /// silent); `spin` models a livelock burning its core. `sticky = false`
 /// arms the plan once — the first triggered batch stalls, later ones run
@@ -216,7 +221,7 @@ pub struct ChaosPlan {
 /// only be quarantined).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StallPlan {
-    /// `(token, millis)`: a triggered batch sleeps this long in `infer`.
+    /// `(token, millis)`: a triggered batch sleeps this long in `answer`.
     pub sleep_token: Option<(usize, u64)>,
     /// `(token, millis)`: a triggered batch busy-spins this long.
     pub spin_token: Option<(usize, u64)>,
@@ -236,15 +241,16 @@ impl ChaosPlan {
     }
 }
 
-/// Wraps a model and fires the [`ChaosPlan`] during inference. Training,
-/// parameters, snapshots, optimizer state, and the full-text prediction
-/// path all pass straight through.
+/// Wraps a model and fires the [`ChaosPlan`] in its served answer.
+/// Training, parameters, snapshots, optimizer state, the alignment probe
+/// and (bar `full_panic_token`) the full-text prediction path pass
+/// straight through.
 pub struct ChaosModel<M: RationaleModel> {
     inner: M,
     plan: ChaosPlan,
     /// One-shot latch for a non-sticky [`StallPlan`]: set by the first
     /// triggered batch so later batches run clean. Atomic because
-    /// `infer` takes `&self`.
+    /// `answer` takes `&self`.
     stall_fired: std::sync::atomic::AtomicBool,
 }
 
@@ -282,10 +288,10 @@ impl<M: RationaleModel> RationaleModel for ChaosModel<M> {
         self.inner.train_step(batch, rng)
     }
 
-    fn infer(&self, batch: &dar_data::Batch) -> Inference {
+    fn answer(&self, batch: &dar_data::Batch) -> Inference {
         if let Some(t) = self.plan.panic_token {
             if ChaosPlan::batch_has(batch, t) {
-                panic!("chaos: panic token {t} reached infer");
+                panic!("chaos: panic token {t} reached answer");
             }
         }
         if let Some((t, ms)) = self.plan.slow_token {
@@ -306,7 +312,7 @@ impl<M: RationaleModel> RationaleModel for ChaosModel<M> {
                 }
             }
         }
-        let mut inf = self.inner.infer(batch);
+        let mut inf = self.inner.answer(batch);
         if let Some(t) = self.plan.collapse_token {
             if ChaosPlan::batch_has(batch, t) {
                 for row in &mut inf.masks {
@@ -325,6 +331,10 @@ impl<M: RationaleModel> RationaleModel for ChaosModel<M> {
             }
         }
         inf
+    }
+
+    fn full_text_probe(&self, batch: &dar_data::Batch) -> Option<Tensor> {
+        self.inner.full_text_probe(batch)
     }
 
     fn predict_full_text(&self, batch: &dar_data::Batch) -> Option<Tensor> {

@@ -180,7 +180,7 @@ impl RationaleModel for Car {
         self.opt_disc.import_state(&d_params, d)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         // Factual rationale for the gold label; no rationale-input
         // accuracy, as in the paper's tables.
         let z = self.gen.sample_mask(batch, &batch.labels, None);

@@ -16,7 +16,7 @@ use dar_tensor::{DarResult, Rng, Tensor};
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
+use crate::models::{descend, rationale_answer, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -98,9 +98,15 @@ impl RationaleModel for Dar {
         restore_single(self.name(), &mut self.opt, &params, states)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        rationale_inference(&self.pred, batch, &z)
+        rationale_answer(&self.pred, batch, &z)
+    }
+
+    /// The probe is the trained predictor, not the discriminator the
+    /// degraded path reads.
+    fn full_text_probe(&self, batch: &Batch) -> Option<Tensor> {
+        Some(self.pred.forward_full(batch))
     }
 
     /// The frozen discriminator *is* the model's full-text expert
@@ -182,6 +188,18 @@ mod tests {
             }
         }
         assert!(last < first.unwrap());
+    }
+
+    #[test]
+    fn probe_reads_the_predictor_and_degraded_path_the_discriminator() {
+        let (model, data) = build(60);
+        let batch = BatchIter::sequential(&data.test, 8).next().unwrap();
+        dar_tensor::no_grad(|| {
+            let probe = model.full_text_probe(&batch).unwrap().to_vec();
+            assert_eq!(probe, model.pred.forward_full(&batch).to_vec());
+            let degraded = model.predict_full_text(&batch).unwrap().to_vec();
+            assert_eq!(degraded, model.disc.forward_full(&batch).to_vec());
+        });
     }
 
     #[test]

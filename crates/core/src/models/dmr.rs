@@ -84,10 +84,11 @@ impl RationaleModel for Dmr {
         restore_single(self.name(), &mut self.opt, &params, states)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, &batch.labels, None);
         // Label-conditioned selection → no honest rationale-input Acc;
-        // the teacher's full-text probe is still reportable.
+        // the teacher's full-text logits are the served label and the
+        // probe both.
         let full = self.teacher.forward_full(batch);
         Inference {
             masks: mask_rows(&z, batch),

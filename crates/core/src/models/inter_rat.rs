@@ -17,7 +17,7 @@ use dar_tensor::{DarResult, Rng, Tensor};
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
+use crate::models::{descend, rationale_answer, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -116,9 +116,9 @@ impl RationaleModel for InterRat {
         restore_single(self.name(), &mut self.opt, &params, states)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        rationale_inference(&self.pred, batch, &z)
+        rationale_answer(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {

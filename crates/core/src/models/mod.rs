@@ -4,6 +4,13 @@
 //! Every model is the generator–predictor game with its own loss, and all
 //! of them train with the one clipped Adam step [`descend`]. [`by_name`]
 //! is the one registry from a [`RationaleModel::name`] to its constructor.
+//!
+//! Each model computes its served answer in one place,
+//! [`RationaleModel::answer`]: the rationale masks plus the logits its
+//! label is read from. [`RationaleModel::infer`] is that answer plus the
+//! full-text alignment probe, composed once in the trait, so the answer a
+//! server returns cannot drift from `infer` and serving never pays for a
+//! probe only eval reads.
 
 mod a2r;
 mod car;
@@ -40,8 +47,9 @@ pub struct Inference {
     /// Prediction logits from the rationale input (`None` for
     /// label-conditioned selectors like CAR/DMR).
     pub logits: Option<Tensor>,
-    /// Prediction logits of the same predictor on the full input — the
-    /// alignment probe.
+    /// Prediction logits on the full input: the alignment probe of
+    /// [`RationaleModel::infer`], or DMR's teacher logits, which are also
+    /// its served label.
     pub full_logits: Option<Tensor>,
 }
 
@@ -56,8 +64,30 @@ pub trait RationaleModel {
     /// One optimization step on a batch; returns the scalar loss.
     fn train_step(&mut self, batch: &Batch, rng: &mut Rng) -> f32;
 
-    /// Deterministic inference (argmax masks, no Gumbel noise).
-    fn infer(&self, batch: &Batch) -> Inference;
+    /// The served answer on one batch (argmax masks, no Gumbel noise):
+    /// the rationale masks plus the logits the label is read from —
+    /// `logits` for rationale predictors, `full_logits` for DMR, neither
+    /// for CAR — and nothing else.
+    fn answer(&self, batch: &Batch) -> Inference;
+
+    /// The alignment probe (Fig. 3b): the rationale predictor's logits on
+    /// the full input, or `None` for models without one. It is the same
+    /// computation as [`Self::predict_full_text`] unless the degraded path
+    /// reads another module (DAR's frozen discriminator) or the model has
+    /// no degraded path (RNP-os).
+    fn full_text_probe(&self, batch: &Batch) -> Option<Tensor> {
+        self.predict_full_text(batch)
+    }
+
+    /// Deterministic inference: [`Self::answer`] plus
+    /// [`Self::full_text_probe`] when the answer left `full_logits` empty.
+    fn infer(&self, batch: &Batch) -> Inference {
+        let mut inf = self.answer(batch);
+        if inf.full_logits.is_none() {
+            inf.full_logits = self.full_text_probe(batch);
+        }
+        inf
+    }
 
     /// Full-text prediction logits `[b, classes]` that bypass the
     /// generator entirely, or `None` for models without a full-input
@@ -173,16 +203,14 @@ pub fn by_name(
     })
 }
 
-/// [`RationaleModel::infer`] of a generator + predictor model, given the
+/// [`RationaleModel::answer`] of a generator + predictor model, given the
 /// generator's deterministic mask `z`: the predictor's logits on the
-/// rationale and on the full input.
-pub(crate) fn rationale_inference(pred: &Predictor, batch: &Batch, z: &Tensor) -> Inference {
-    let logits = pred.forward_masked(batch, z);
-    let full = pred.forward_full(batch);
+/// rationale. Its probe is `pred.forward_full`.
+pub(crate) fn rationale_answer(pred: &Predictor, batch: &Batch, z: &Tensor) -> Inference {
     Inference {
         masks: mask_rows(z, batch),
-        logits: Some(logits),
-        full_logits: Some(full),
+        logits: Some(pred.forward_masked(batch, z)),
+        full_logits: None,
     }
 }
 
@@ -264,6 +292,7 @@ pub(crate) mod test_support {
 mod tests {
     use super::*;
     use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
+    use dar_data::BatchIter;
 
     #[test]
     fn registry_knows_all_paper_models() {
@@ -287,5 +316,49 @@ mod tests {
             assert_eq!(model.name(), name, "registry key must round-trip");
         }
         assert!(by_name("BERT", &cfg, &emb, &data, 1, &mut rng).is_none());
+    }
+
+    fn bits(t: &Option<Tensor>) -> Option<Vec<u32>> {
+        t.as_ref()
+            .map(|t| t.to_vec().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// `infer` is the served answer plus the probe, bit for bit: the
+    /// answer's masks and label logits are `infer`'s, and `infer`'s
+    /// full-text logits are the probe's (or, for DMR, the answer's own).
+    #[test]
+    fn answer_and_probe_compose_to_infer() {
+        let data = tiny_dataset(93);
+        let emb = tiny_embedding(&data, 94);
+        let mut rng = dar_tensor::rng(95);
+        for name in [
+            "RNP",
+            "DAR",
+            "A2R",
+            "DMR",
+            "Inter_RAT",
+            "CAR",
+            "3PLAYER",
+            "VIB",
+            "RNP-os",
+        ] {
+            let model = by_name(name, &tiny_config(), &emb, &data, 1, &mut rng).unwrap();
+            for size in [1, 16] {
+                let batch = BatchIter::sequential(&data.test, size).next().unwrap();
+                let (answer, inf, probe) = dar_tensor::no_grad(|| {
+                    let probe = model.full_text_probe(&batch);
+                    (model.answer(&batch), model.infer(&batch), probe)
+                });
+                let at = format!("{name} at batch {size}");
+                assert_eq!(answer.masks, inf.masks, "{at}: masks");
+                assert_eq!(bits(&answer.logits), bits(&inf.logits), "{at}: logits");
+                let full = if answer.full_logits.is_some() {
+                    &answer.full_logits
+                } else {
+                    &probe
+                };
+                assert_eq!(bits(full), bits(&inf.full_logits), "{at}: full-text logits");
+            }
+        }
     }
 }

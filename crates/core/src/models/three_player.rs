@@ -13,7 +13,7 @@ use dar_tensor::{DarResult, Rng, Tensor};
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{descend, expect_states, rationale_inference, Inference, RationaleModel};
+use crate::models::{descend, expect_states, rationale_answer, Inference, RationaleModel};
 use crate::predictor::Predictor;
 use crate::regularizer::omega;
 
@@ -109,9 +109,9 @@ impl RationaleModel for ThreePlayer {
         self.opt_comp.import_state(&c_params, c)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        rationale_inference(&self.pred, batch, &z)
+        rationale_answer(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {

@@ -13,7 +13,7 @@ use dar_tensor::{DarResult, Rng, Tensor};
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Generator;
-use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
+use crate::models::{descend, rationale_answer, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 
 /// The VIB-style bottleneck model.
@@ -83,9 +83,9 @@ impl RationaleModel for Vib {
         restore_single(self.name(), &mut self.opt, &params, states)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        rationale_inference(&self.pred, batch, &z)
+        rationale_answer(&self.pred, batch, &z)
     }
 
     fn predict_full_text(&self, batch: &Batch) -> Option<Tensor> {

@@ -17,7 +17,7 @@ use dar_text::Vocab;
 use crate::config::RationaleConfig;
 use crate::embedder::SharedEmbedding;
 use crate::generator::Encoder;
-use crate::models::{descend, rationale_inference, restore_single, Inference, RationaleModel};
+use crate::models::{descend, rationale_answer, restore_single, Inference, RationaleModel};
 use crate::predictor::Predictor;
 
 /// Splits id sequences into sentences at terminal punctuation.
@@ -216,9 +216,15 @@ impl RationaleModel for SentenceRnp {
         restore_single(self.name(), &mut self.opt, &params, states)
     }
 
-    fn infer(&self, batch: &Batch) -> Inference {
+    fn answer(&self, batch: &Batch) -> Inference {
         let z = self.gen.sample_mask(batch, None);
-        rationale_inference(&self.pred, batch, &z)
+        rationale_answer(&self.pred, batch, &z)
+    }
+
+    /// The probe only: one-sentence selection has no degraded
+    /// predictor-only path.
+    fn full_text_probe(&self, batch: &Batch) -> Option<Tensor> {
+        Some(self.pred.forward_full(batch))
     }
 }
 

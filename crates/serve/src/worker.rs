@@ -3,6 +3,12 @@
 //! on the thread's own model copy, and resolves every request it gets
 //! back.
 //!
+//! A full-path batch runs the model's served answer
+//! ([`RationaleModel::answer`]): the rationale masks and the logits the
+//! label comes from. `infer` adds the full-text alignment probe, which
+//! only eval reads, so a server never runs it; every answer still equals
+//! a solo `infer`'s, because `infer` is that same answer plus the probe.
+//!
 //! `Tensor` is `Rc`-based and deliberately not `Send`, so each worker
 //! builds its own model from the [`ModelFactory`] and keeps it aligned
 //! with the published weight generation by re-applying weights between
@@ -335,7 +341,7 @@ fn run_full(
     batch: &Batch,
     version: u64,
 ) -> Result<(Vec<ServeOutput>, bool), ServeError> {
-    let inf = no_grad(|| model.infer(batch));
+    let inf = no_grad(|| model.answer(batch));
     // Selected fraction over real tokens — the breaker's collapse signal.
     let mut selected = 0usize;
     let mut total = 0usize;

@@ -9,6 +9,12 @@
 //! weight-gradient partials are reduced by the caller in shard-index order
 //! — making results bit-identical for any `DAR_THREADS` (DESIGN.md §9).
 //!
+//! BPTT reads the forward's gate activations and a copy of its output. A
+//! node that will not be tracked (under `no_grad`, or with no input that
+//! requires gradients: every serving and eval call) has no backward, so
+//! its forward allocates and writes neither; the arithmetic is the same,
+//! so its output is bit-identical to a tracked call's.
+//!
 //! Recurrence (`x_t: [b, e]`, `h: [b, hidden]`, mask `m_t`):
 //! ```text
 //! [z; r] = sigmoid([x, h] @ W_zr + b_zr)
@@ -20,6 +26,7 @@
 use std::sync::Arc;
 
 use crate::ops::kernel::{current_kernel, Kernel};
+use crate::tensor::tracked;
 use crate::Tensor;
 
 /// Problems below this many flops are not worth dispatching to the pool.
@@ -61,9 +68,17 @@ impl Dims {
     }
 }
 
-/// Per-shard forward over rows `r0..r1`: returns `(out, z, r, c)` chunks,
-/// each `(r1-r0) * l * h` long. `out` holds the post-mask hidden states;
-/// the gate stashes are what backward needs to avoid recomputation.
+/// The gate activations `z`, `r` and candidate `c` of every step, each
+/// `[rows, l, h]`: what backward needs to avoid recomputation.
+struct Stash {
+    z: Vec<f32>,
+    r: Vec<f32>,
+    c: Vec<f32>,
+}
+
+/// Per-shard forward over rows `r0..r1`: returns the post-mask hidden
+/// states, `(r1-r0) * l * h` long, and the shard's [`Stash`] when `stash`
+/// is set.
 ///
 /// Timesteps are the outer loop; each step's two linear maps run as one
 /// `[rows, e+h] @ [e+h, n]` bias-initialized GEMM over the whole shard, so
@@ -84,14 +99,17 @@ fn forward_rows(
     bh: &[f32],
     d: Dims,
     steps: &[usize],
-) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+    stash: bool,
+) -> (Vec<f32>, Option<Stash>) {
     let (l, e, h) = (d.l, d.e, d.h);
     let rows = r1 - r0;
     let eh = e + h;
     let mut out = vec![0.0f32; rows * l * h];
-    let mut zs = vec![0.0f32; rows * l * h];
-    let mut rs = vec![0.0f32; rows * l * h];
-    let mut cs = vec![0.0f32; rows * l * h];
+    let mut stash = stash.then(|| Stash {
+        z: vec![0.0f32; rows * l * h],
+        r: vec![0.0f32; rows * l * h],
+        c: vec![0.0f32; rows * l * h],
+    });
     let mut xh = vec![0.0f32; rows * eh];
     let mut zr = vec![0.0f32; rows * 2 * h];
     let mut clin = vec![0.0f32; rows * h];
@@ -128,19 +146,21 @@ fn forward_rows(
             let base = (ri * l + t) * h;
             let m = mv.map_or(1.0, |mv| mv[i * l + t]);
             let (z, r) = zr[ri * 2 * h..(ri + 1) * 2 * h].split_at(h);
+            let c = &clin[ri * h..(ri + 1) * h];
             for j in 0..h {
-                let c = clin[ri * h + j];
-                let hn = (1.0 - z[j]) * hprev[ri * h + j] + z[j] * c;
+                let hn = (1.0 - z[j]) * hprev[ri * h + j] + z[j] * c[j];
                 let hm = m * hn + (1.0 - m) * hprev[ri * h + j];
-                zs[base + j] = z[j];
-                rs[base + j] = r[j];
-                cs[base + j] = c;
                 out[base + j] = hm;
                 hprev[ri * h + j] = hm;
             }
+            if let Some(s) = &mut stash {
+                s.z[base..base + h].copy_from_slice(z);
+                s.r[base..base + h].copy_from_slice(r);
+                s.c[base..base + h].copy_from_slice(c);
+            }
         }
     }
-    (out, zs, rs, cs)
+    (out, stash)
 }
 
 /// Which gradients a backward shard must produce.
@@ -327,6 +347,16 @@ fn add_into(dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// Append the next shard's chunk (shard order), taking over the first
+/// chunk's buffer instead of copying it.
+fn append(dst: &mut Vec<f32>, src: Vec<f32>) {
+    if dst.is_empty() {
+        *dst = src;
+    } else {
+        dst.extend_from_slice(&src);
+    }
+}
+
 /// Fused GRU over a batch of sequences.
 ///
 /// * `x`: `[b, l, e]` inputs; `mask`: optional `[b, l]` (1 = real token;
@@ -337,6 +367,7 @@ fn add_into(dst: &mut [f32], src: &[f32]) {
 ///
 /// Returns `[b, l, h]` per-step hidden states. Forward and backward are
 /// shard-parallel over batch rows and bit-identical for any thread budget.
+/// An untracked call keeps no backward state (module docs).
 #[allow(clippy::too_many_arguments)]
 pub fn gru_seq(
     x: &Tensor,
@@ -365,8 +396,17 @@ pub fn gru_seq(
     let kern = current_kernel();
     let shards = d.shards();
 
+    let parents = vec![
+        x.clone(),
+        w_zr.clone(),
+        b_zr.clone(),
+        w_h.clone(),
+        b_h.clone(),
+    ];
+    let track = tracked(&parents);
+
     let mask_vals: Option<Arc<Vec<f32>>> = mask.map(|m| Arc::new(m.to_vec()));
-    let (out, zs, rs, cs) = {
+    let (out, stash) = {
         let xg = x.values();
         let wzr_g = w_zr.values();
         let bzr_g = b_zr.values();
@@ -378,38 +418,40 @@ pub fn gru_seq(
         let steps = &steps;
         let chunks = dar_par::run_shards(shards, |si| {
             let r = dar_par::shard_range(b, shards, si);
-            forward_rows(kern, r.start, r.end, xv, mv, wzr, bzr, wh, bh, d, steps)
+            forward_rows(
+                kern, r.start, r.end, xv, mv, wzr, bzr, wh, bh, d, steps, track,
+            )
         });
         // Stitch per-shard chunks back together in shard order.
-        let mut out = Vec::with_capacity(b * l * h);
-        let mut zs = Vec::with_capacity(b * l * h);
-        let mut rs = Vec::with_capacity(b * l * h);
-        let mut cs = Vec::with_capacity(b * l * h);
-        for (o, z, r, c) in chunks {
-            out.extend_from_slice(&o);
-            zs.extend_from_slice(&z);
-            rs.extend_from_slice(&r);
-            cs.extend_from_slice(&c);
+        let mut out = Vec::new();
+        let mut stash = track.then(|| Stash {
+            z: Vec::new(),
+            r: Vec::new(),
+            c: Vec::new(),
+        });
+        for (o, st) in chunks {
+            append(&mut out, o);
+            if let (Some(all), Some(st)) = (&mut stash, st) {
+                append(&mut all.z, st.z);
+                append(&mut all.r, st.r);
+                append(&mut all.c, st.c);
+            }
         }
-        (out, zs, rs, cs)
+        (out, stash)
+    };
+    let Some(stash) = stash else {
+        // Untracked: `from_op` drops parents and backward alike.
+        return Tensor::from_op("gru_seq", out, vec![b, l, h], parents, Box::new(|_, _| {}));
     };
 
     let out_saved = Arc::new(out.clone());
-    let zs = Arc::new(zs);
-    let rs = Arc::new(rs);
-    let cs = Arc::new(cs);
+    let stash = Arc::new(stash);
     let steps_saved = Arc::new(steps);
     Tensor::from_op(
         "gru_seq",
         out,
         vec![b, l, h],
-        vec![
-            x.clone(),
-            w_zr.clone(),
-            b_zr.clone(),
-            w_h.clone(),
-            b_h.clone(),
-        ],
+        parents,
         Box::new(move |g, parents| {
             let _span = dar_obs::span("gru_bptt");
             let (x, w_zr, b_zr, w_h, b_h) = (
@@ -434,7 +476,7 @@ pub fn gru_seq(
             let wh_g = w_h.values();
             let (xv, wzr, wh): (&[f32], &[f32], &[f32]) = (&xg, &wzr_g, &wh_g);
             let mv = mask_vals.as_ref().map(|m| m.as_slice());
-            let (out, zs, rs, cs) = (&*out_saved, &*zs, &*rs, &*cs);
+            let (out, zs, rs, cs) = (&*out_saved, &stash.z, &stash.r, &stash.c);
             let steps: &[usize] = &steps_saved;
             let chunks = dar_par::run_shards(shards, |si| {
                 let r = dar_par::shard_range(b, shards, si);
@@ -608,6 +650,43 @@ mod tests {
         assert!(wzr.grad_vec().is_none(), "frozen weight got a grad buffer");
         let gx = x.grad_vec().expect("x missing grad");
         assert!(gx.iter().any(|&v| v != 0.0));
+    }
+
+    #[test]
+    fn untracked_call_is_bit_identical_and_keeps_no_graph() {
+        // The kernel-equivalence shapes: a served DAR burst, and an odd
+        // width; every row padded after a different step.
+        for (b, l, e, h) in [(16usize, 45usize, 50usize, 64usize), (9, 11, 7, 13)] {
+            let mut rng = crate::rng(7);
+            let (wzr, bzr, wh, bh) = weights(&mut rng, e, h);
+            let xv = init::uniform(&mut rng, b * l * e, -0.8, 0.8);
+            let mv = (0..b * l)
+                .map(|k| if k % l < l - (k / l) % 4 { 1.0 } else { 0.0 })
+                .collect();
+            let mask = Tensor::new(mv, &[b, l]);
+            let frozen = |t: &Tensor| {
+                let f = Tensor::param(t.to_vec(), t.shape());
+                f.freeze();
+                f
+            };
+            let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for reverse in [false, true] {
+                let x = Tensor::param(xv.clone(), &[b, l, e]);
+                let tracked = gru_seq(&x, Some(&mask), &wzr, &bzr, &wh, &bh, reverse);
+                assert!(tracked.requires_grad() && !tracked.inner.parents.is_empty());
+                let quiet =
+                    crate::no_grad(|| gru_seq(&x, Some(&mask), &wzr, &bzr, &wh, &bh, reverse));
+                let [fx, fwzr, fbzr, fwh, fbh] = [&x, &wzr, &bzr, &wh, &bh].map(frozen);
+                let cold = gru_seq(&fx, Some(&mask), &fwzr, &fbzr, &fwh, &fbh, reverse);
+                for (how, y) in [("no_grad", quiet), ("frozen", cold)] {
+                    let at = format!("{how} b={b} h={h} rev={reverse}");
+                    assert_eq!(bits(&y), bits(&tracked), "{at}: output differs");
+                    assert!(!y.requires_grad(), "{at}: requires grad");
+                    assert!(y.inner.parents.is_empty(), "{at}: kept its parents");
+                    assert!(y.inner.backward.is_none(), "{at}: kept a backward");
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,13 @@ pub(crate) fn grad_enabled() -> bool {
     NO_GRAD.with(|c| !c.get())
 }
 
+/// Whether an op over `parents` records graph history: gradient recording
+/// is on and some parent requires gradients. [`Tensor::from_op`] prunes
+/// every other node, so an op may skip any state only its backward reads.
+pub(crate) fn tracked(parents: &[Tensor]) -> bool {
+    grad_enabled() && parents.iter().any(|p| p.inner.requires_grad.get())
+}
+
 /// Backward closure: receives the gradient of the output and the parent
 /// tensors, and accumulates gradients into the parents.
 pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
@@ -151,7 +158,7 @@ impl Tensor {
         check_numel(values.len(), &shape);
         let id = next_id();
         taint::scan(op, id, &shape, &values);
-        let track = grad_enabled() && parents.iter().any(|p| p.inner.requires_grad.get());
+        let track = tracked(&parents);
         Tensor {
             inner: Rc::new(Inner {
                 id,

@@ -82,6 +82,27 @@ fn stats() {
     }
 }
 
+/// The numeric flags of `train` and `show`, defaults applied.
+#[derive(Debug, PartialEq)]
+struct TrainFlags {
+    epochs: usize,
+    scale: f32,
+    seed: u64,
+    sparsity: f32,
+}
+
+/// Each flag parses as its own type, so a seed above 2^24 is not rounded
+/// through `f32`; a value that does not parse (a fractional `--epochs`)
+/// reads as absent.
+fn train_flags(args: &[String]) -> TrainFlags {
+    TrainFlags {
+        epochs: flag(args, "--epochs").unwrap_or(10),
+        scale: flag(args, "--scale").unwrap_or(0.4),
+        seed: flag(args, "--seed").unwrap_or(17),
+        sparsity: flag(args, "--sparsity").unwrap_or(0.15),
+    }
+}
+
 fn train(args: &[String], show: bool) {
     let model_name = args.first().cloned().unwrap_or_else(|| {
         eprintln!("missing MODEL");
@@ -91,12 +112,12 @@ fn train(args: &[String], show: bool) {
         eprintln!("missing ASPECT");
         std::process::exit(2);
     }));
-    let epochs = flag::<f32>(args, "--epochs")
-        .map(|v| v as usize)
-        .unwrap_or(10);
-    let scale = flag::<f32>(args, "--scale").unwrap_or(0.4);
-    let seed = flag::<f32>(args, "--seed").map(|v| v as u64).unwrap_or(17);
-    let sparsity = flag::<f32>(args, "--sparsity").unwrap_or(0.15);
+    let TrainFlags {
+        epochs,
+        scale,
+        seed,
+        sparsity,
+    } = train_flags(args);
     let ckpt_dir: Option<PathBuf> = flag(args, "--checkpoint-dir");
     let obs_out: Option<PathBuf> = flag(args, "--obs-out");
     let resume = bool_flag(args, "--resume");
@@ -119,7 +140,7 @@ fn train(args: &[String], show: bool) {
         sparsity,
         ..Default::default()
     };
-    let mut rng = dar::rng(seed + 1);
+    let mut rng = dar::rng(seed.wrapping_add(1));
     println!(
         "dataset {}: train {} dev {} test {}",
         data.name,
@@ -220,5 +241,34 @@ fn train(args: &[String], show: bool) {
             println!("  model: {picked:?}");
             println!("  human: {human:?}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn train_flags_keep_large_seeds_exact() {
+        let f = train_flags(&args("DAR aroma --seed 16777217 --epochs 3 --scale 0.2"));
+        assert_eq!(
+            f,
+            TrainFlags {
+                epochs: 3,
+                scale: 0.2,
+                seed: 16_777_217,
+                sparsity: 0.15,
+            }
+        );
+        assert_eq!(
+            train_flags(&args("--seed 18446744073709551615")).seed,
+            u64::MAX
+        );
+        let defaults = train_flags(&args("DAR aroma --epochs 2.5"));
+        assert_eq!((defaults.epochs, defaults.seed), (10, 17));
     }
 }
