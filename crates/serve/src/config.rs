@@ -18,13 +18,11 @@ pub struct ServeConfig {
     /// `QueueFull` on their home shard (sharded admission — a hot shard
     /// pushes back without starving siblings).
     pub queue_cap: usize,
-    /// Requests per micro-batch.
+    /// Most requests one micro-batch carries. A replica claims what its
+    /// shard holds, up to this many, the moment it is free: it never
+    /// waits for a batch to fill, so batches grow only with the backlog
+    /// that builds while it is busy.
     pub max_batch: usize,
-    /// How long a replica lingers for more requests after the first one,
-    /// trading latency for batch occupancy. Never lingers past a queued
-    /// request's deadline, and never applies to stolen batches (steals
-    /// exist to relieve backlog, not to wait for more of it).
-    pub linger: Duration,
     /// Deadline for [`submit`](crate::Server::submit).
     pub default_deadline: Duration,
     /// Vocabulary bound for admission checks.
@@ -37,12 +35,12 @@ pub struct ServeConfig {
     /// thread dies for real (exercising supervisor respawn) instead of
     /// recovering in place. Chaos-test hook; leave `None` in production.
     pub lethal_panic_marker: Option<String>,
-    /// Supervisor respawn pacing: bounded exponential backoff with
-    /// seeded jitter instead of immediate retry, so a crash-looping
-    /// replica cannot monopolize a core.
-    pub respawn: RespawnBackoff,
-    /// Work stealing between replica queues.
-    pub steal: StealPolicy,
+    /// Work stealing between replica queues (DESIGN.md §14): an idle
+    /// replica whose own shard is empty takes one whole micro-batch off
+    /// the front of the longest sibling queue holding more than one full
+    /// batch ([`steal_threshold`](Self::steal_threshold)). `false` pins
+    /// every request to its home replica.
+    pub steal: bool,
     /// Per-tenant fair-share admission, as a fraction of `queue_cap` a
     /// single tenant may occupy in its home shard. `None` disables the
     /// check (the default — single-tenant traffic is the common case).
@@ -97,74 +95,18 @@ impl Default for HealthPolicy {
     }
 }
 
-/// Work-stealing policy for idle replicas (DESIGN.md §14). An idle
-/// replica scans sibling shards and claims one whole micro-batch from
-/// the longest queue — preserving exactly-one-outcome (the stolen batch
-/// moves into the thief's in-flight slot like any claim) and deadline
-/// semantics (expired requests are swept before stealing).
-#[derive(Debug, Clone)]
-pub struct StealPolicy {
-    /// Master switch; `false` pins every request to its home replica.
-    pub enabled: bool,
-    /// Only steal from a sibling holding at least this many requests.
-    /// `None` derives `max_batch + 1`: a victim with at most one full
-    /// batch queued is left alone, so strictly sequential traffic
-    /// (submit → wait → submit) never experiences a steal and stays
-    /// byte-deterministic in the obs journal.
-    pub min_victim_backlog: Option<usize>,
-}
-
-impl Default for StealPolicy {
-    fn default() -> Self {
-        StealPolicy {
-            enabled: true,
-            min_victim_backlog: None,
-        }
-    }
-}
-
-/// Backoff schedule for supervisor worker respawn. The delay for attempt
-/// `n` (1-based, reset after a quiet period) is
-/// `min(base · 2^(n-1), cap)` plus up to +25% deterministic jitter drawn
-/// from `jitter_seed`, the slot, and the attempt — seeded so chaos
-/// replays see identical schedules.
-#[derive(Debug, Clone)]
-pub struct RespawnBackoff {
-    /// First-attempt delay.
-    pub base: Duration,
-    /// Delay ceiling (before jitter).
-    pub cap: Duration,
-    /// A worker surviving this long resets its slot's attempt counter.
-    pub reset_after: Duration,
-    /// Seed for the deterministic jitter hash.
-    pub jitter_seed: u64,
-}
-
-impl Default for RespawnBackoff {
-    fn default() -> Self {
-        RespawnBackoff {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(500),
-            reset_after: Duration::from_secs(5),
-            jitter_seed: 0xDA2_B0FF,
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             replicas: 0,
             queue_cap: 256,
             max_batch: 16,
-            linger: Duration::from_millis(2),
             default_deadline: Duration::from_secs(5),
             vocab_size: usize::MAX,
             max_len: 512,
             breaker: BreakerPolicy::default(),
             lethal_panic_marker: None,
-            respawn: RespawnBackoff::default(),
-            steal: StealPolicy::default(),
+            steal: true,
             tenant_fair_share: None,
             health: HealthPolicy::default(),
         }
@@ -181,11 +123,13 @@ impl ServeConfig {
         }
     }
 
-    /// Backlog a sibling must hold before it can be stolen from.
+    /// Backlog a sibling must hold before it can be stolen from: one
+    /// past a full batch, so a victim with at most one batch queued is
+    /// left alone and strictly sequential traffic (submit → wait →
+    /// submit) never experiences a steal, which keeps the obs journal
+    /// byte-deterministic at any replica count.
     pub fn steal_threshold(&self) -> usize {
-        self.steal
-            .min_victim_backlog
-            .unwrap_or(self.max_batch.max(1) + 1)
+        self.max_batch.max(1) + 1
     }
 
     /// Queued requests one tenant may hold in its home shard, when
@@ -203,20 +147,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn steal_threshold_defaults_to_one_past_a_full_batch() {
+    fn steal_threshold_is_one_past_a_full_batch() {
         let cfg = ServeConfig {
             max_batch: 8,
             ..ServeConfig::default()
         };
         assert_eq!(cfg.steal_threshold(), 9);
-        let pinned = ServeConfig {
-            steal: StealPolicy {
-                enabled: true,
-                min_victim_backlog: Some(3),
-            },
+        let unbatched = ServeConfig {
+            max_batch: 0,
             ..cfg
         };
-        assert_eq!(pinned.steal_threshold(), 3);
+        assert_eq!(unbatched.steal_threshold(), 2, "a batch holds at least one");
     }
 
     #[test]

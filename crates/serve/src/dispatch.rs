@@ -22,6 +22,10 @@
 //! stolen from a sibling — there is no instant at which a request is
 //! owned by two places or by none.
 //!
+//! A claim never waits for a batch to fill: a free replica takes what
+//! its shard holds, up to its cap, at once. Batches grow only with the
+//! backlog that builds while a replica is busy.
+//!
 //! Generations fence abandoned threads. Each worker holds the generation
 //! it was started with; quarantine and the panic drain revoke it. A
 //! revoked worker's `claim` returns [`Claim::Stop`] and its `complete`
@@ -51,8 +55,6 @@ pub(crate) type Answers = Vec<(Pending, ServeError)>;
 pub(crate) enum Claim {
     /// A batch now parked in the caller's in-flight slot.
     Batch(Claimed),
-    /// The caller's shard holds a short batch: wait for more until then.
-    Linger(Instant),
     /// Nothing to claim or steal.
     Idle,
     /// The caller's generation was revoked, or the server is shutting
@@ -76,9 +78,9 @@ pub(crate) struct Claimed {
 /// Where [`Core::submit`] queued a request, and which replicas to wake.
 pub(crate) struct Admitted {
     pub shard: usize,
-    /// The shard's replica may be waiting for exactly this request: its
-    /// queue just became non-empty, or just filled a batch (all a
-    /// lingering replica waits for).
+    /// The shard's queue just became non-empty, so its replica may be
+    /// asleep on it; with anything already queued the replica is busy
+    /// and claims the rest when it looks next.
     pub wake_home: bool,
     /// The backlog just reached the steal threshold: idle siblings, asleep
     /// on their own empty shards, should look now.
@@ -93,8 +95,6 @@ struct Slot {
     inflight: Vec<Pending>,
     /// The authorized worker generation (0 = no worker).
     gen: u64,
-    /// End of the current linger window, once the worker started one.
-    linger_until: Option<Instant>,
 }
 
 #[cfg_attr(test, derive(Clone))]
@@ -114,8 +114,6 @@ pub(crate) struct Core {
     /// Minimum sibling backlog a thief may steal from; `None` when
     /// stealing is off or there is nobody to steal from.
     steal_threshold: Option<usize>,
-    linger: Duration,
-    max_batch: usize,
     health: HealthPolicy,
 }
 
@@ -130,9 +128,7 @@ impl Core {
             open: true,
             queue_cap: cfg.queue_cap,
             tenant_cap: cfg.tenant_queue_cap(),
-            steal_threshold: (cfg.steal.enabled && replicas > 1).then(|| cfg.steal_threshold()),
-            linger: cfg.linger,
-            max_batch: cfg.max_batch.max(1),
+            steal_threshold: (cfg.steal && replicas > 1).then(|| cfg.steal_threshold()),
             health: cfg.health.clone(),
         }
     }
@@ -203,46 +199,32 @@ impl Core {
         let len = q.len();
         Ok(Admitted {
             shard: home,
-            wake_home: len == 1 || len == self.max_batch,
+            wake_home: len == 1,
             wake_siblings: self.steal_threshold == Some(len),
         })
     }
 
     /// Claim the next micro-batch of up to `cap` requests for `slot`'s
-    /// worker `gen`: from its own shard (after answering expired
-    /// requests, lingering for occupancy up to the linger window or the
-    /// earliest queued deadline), or — when its own shard is empty —
-    /// stolen whole from the longest sibling backlog past the steal
-    /// threshold, answering expired requests found on the way. Stolen
-    /// batches skip the linger. While a canary routes a batch takes only
-    /// requests of its front request's arm.
+    /// worker `gen`, now: from its own shard after answering its expired
+    /// requests, or — when that is empty — stolen whole from the longest
+    /// sibling backlog past the steal threshold, answering expired
+    /// requests found on the way. While a canary routes a batch takes
+    /// only requests of its front request's arm.
     pub fn claim(&mut self, slot: usize, gen: u64, cap: usize, now: Instant) -> (Claim, Answers) {
         let mut answers = Vec::new();
         if !self.open || self.slots[slot].gen != gen {
             return (Claim::Stop, answers);
         }
         self.sweep_slot(slot, now, &mut answers);
-        let cap = cap.max(1);
-        let s = &mut self.slots[slot];
-        if s.queue.is_empty() {
-            s.linger_until = None;
-            let claim = match self.steal_victim(slot, now, &mut answers) {
-                Some((victim, len)) => Claim::Batch(self.park(slot, victim, len.min(cap), now)),
-                None => Claim::Idle,
-            };
-            return (claim, answers);
-        }
-        if s.queue.len() < cap && !self.linger.is_zero() {
-            let until = *s.linger_until.get_or_insert(now + self.linger);
-            let earliest = s.queue.iter().map(|p| p.deadline).min();
-            let stop = earliest.map_or(until, |d| until.min(d));
-            if now < stop {
-                return (Claim::Linger(stop), answers);
-            }
-        }
-        s.linger_until = None;
-        let n = s.queue.len().min(cap);
-        (Claim::Batch(self.park(slot, slot, n, now)), answers)
+        let (from, len) = match self.slots[slot].queue.len() {
+            0 => match self.steal_victim(slot, now, &mut answers) {
+                Some((victim, len)) => (victim, len),
+                None => return (Claim::Idle, answers),
+            },
+            len => (slot, len),
+        };
+        let batch = self.park(slot, from, len.min(cap.max(1)), now);
+        (Claim::Batch(batch), answers)
     }
 
     /// For idle `thief`: sweep every sibling's expired requests, then pick
@@ -332,7 +314,6 @@ impl Core {
         }
         if revoke {
             s.gen = 0;
-            s.linger_until = None;
         }
         Some(std::mem::take(&mut s.inflight))
     }
@@ -417,7 +398,6 @@ impl Core {
         self.open = false;
         let mut answers = Vec::new();
         for s in &mut self.slots {
-            s.linger_until = None;
             answers.extend(s.queue.drain(..).map(|p| (p, ServeError::Shutdown)));
         }
         answers

@@ -5,18 +5,15 @@ use std::collections::HashSet;
 
 use super::*;
 use crate::canary::{routes_to_canary, splitmix64};
-use crate::config::StealPolicy;
 use crate::request::{Count, Ledger, ServeOutput, ServeResult, Ticket, Verdict};
 use crate::router::route_tenant;
 
+/// Steal threshold 2 (`max_batch + 1`). The core reads `max_batch`
+/// for nothing else: each claim names its own cap.
 fn cfg(queue_cap: usize) -> ServeConfig {
     ServeConfig {
         queue_cap,
-        linger: Duration::from_millis(2),
-        steal: StealPolicy {
-            enabled: true,
-            min_victim_backlog: Some(2),
-        },
+        max_batch: 1,
         ..ServeConfig::default()
     }
 }
@@ -40,9 +37,9 @@ fn request(seq: u64, tenant: u64, deadline: Duration) -> (Pending, Ticket) {
 type Held = Vec<(u64, bool)>;
 
 impl Core {
-    /// Test-only view of each slot: queue, in-flight batch, whether a
-    /// generation is live, and the linger deadline.
-    fn view(&self) -> Vec<(Held, Held, bool, Option<Instant>)> {
+    /// Test-only view of each slot: queue, in-flight batch, and whether
+    /// a generation is live.
+    fn view(&self) -> Vec<(Held, Held, bool)> {
         let held = |ps: &mut dyn Iterator<Item = &Pending>| -> Held {
             ps.map(|p| (p.seq, p.hedged)).collect()
         };
@@ -53,7 +50,6 @@ impl Core {
                     held(&mut s.queue.iter()),
                     held(&mut s.inflight.iter()),
                     s.gen != 0,
-                    s.linger_until,
                 )
             })
             .collect()
@@ -62,7 +58,7 @@ impl Core {
     /// How many places hold each request seq (must be 0 or 1).
     fn holders(&self, n: usize) -> Vec<usize> {
         let mut count = vec![0; n];
-        for (queue, inflight, _, _) in self.view() {
+        for (queue, inflight, _) in self.view() {
             for (seq, _) in queue.into_iter().chain(inflight) {
                 count[seq as usize] += 1;
             }
@@ -189,7 +185,7 @@ impl World {
                         assert!(self.closed, "a live generation stops only at shutdown");
                         self.workers[s] = Worker::Gone;
                     }
-                    Claim::Idle | Claim::Linger(_) => {}
+                    Claim::Idle => {}
                 }
             }
             Event::Complete(s) => {
@@ -296,13 +292,7 @@ impl World {
 
     /// The state up to generation numbers, which matter only by
     /// equality (a live worker's is its slot's; a zombie's is stale).
-    fn key(&self, late: Instant) -> String {
-        let view: Vec<_> = self
-            .core
-            .view()
-            .into_iter()
-            .map(|(q, f, live, linger)| (q, f, live, linger.map(|t| t > late)))
-            .collect();
+    fn key(&self) -> String {
         format!(
             "{:?}",
             (
@@ -313,7 +303,7 @@ impl World {
                 self.workers.map(Worker::kind),
                 self.zombies.map(Worker::kind),
                 self.core.quarantined,
-                view
+                self.core.view()
             )
         )
     }
@@ -321,7 +311,7 @@ impl World {
 
 /// Breadth-first over every reachable state of 3 requests × 2
 /// replicas under every core event, deduplicated by `World::key`:
-/// 40,028 distinct states reached over 253,086 transitions. Every
+/// 49,368 distinct states reached over 310,041 transitions. Every
 /// transition is checked for exactly-one-place ownership, and every
 /// closed state for a drain that answers each request exactly once.
 #[test]
@@ -352,18 +342,20 @@ fn exhaustive_three_requests_two_replicas() {
         workers,
         zombies: [Worker::Gone; SLOTS],
     };
-    let mut seen = HashSet::from([start.key(late)]);
+    let mut seen = HashSet::from([start.key()]);
     let mut frontier = VecDeque::from([(start, Vec::new())]);
     let mut transitions = 0usize;
+    let mut kinds = HashSet::new();
     while let Some((world, trail)) = frontier.pop_front() {
         for ev in world.events() {
+            kinds.insert(std::mem::discriminant(&ev));
             let mut next = world.clone();
             let mut next_trail = trail.clone();
             next_trail.push(ev);
             next.apply(ev, &reqs, early, late);
             next.check(&next_trail);
             transitions += 1;
-            if seen.insert(next.key(late)) {
+            if seen.insert(next.key()) {
                 if next.closed {
                     next.check_drains(&next_trail);
                 }
@@ -371,9 +363,10 @@ fn exhaustive_three_requests_two_replicas() {
             }
         }
     }
+    assert_eq!(kinds.len(), 9, "every event kind fires");
     assert_eq!(
         (seen.len(), transitions),
-        (40_028, 253_086),
+        (49_368, 310_041),
         "states, transitions"
     );
 }
@@ -459,7 +452,7 @@ fn random_interleavings_keep_one_owner_and_balance_the_ledger() {
                                 workers[s] = Worker::Holding(gen);
                             }
                             Claim::Stop => unreachable!("live and open"),
-                            Claim::Idle | Claim::Linger(_) => {}
+                            Claim::Idle => {}
                         }
                     }
                     Worker::Holding(gen) => {

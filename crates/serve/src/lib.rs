@@ -61,7 +61,7 @@ pub use canary::{
     decide, routes_to_canary, ArmStats, CanaryDecision, CanaryOutcome, CanaryPolicy,
     CanarySnapshot, PromotionPhase, RollbackCause,
 };
-pub use config::{HealthPolicy, RespawnBackoff, ServeConfig, StealPolicy};
+pub use config::{HealthPolicy, ServeConfig};
 pub use health::HealthState;
 pub use online::{run_online_loop, LoopReport, OnlineLoopConfig, RoundReport};
 pub use request::{ServeError, ServeOutput, ServeResult, Ticket};

@@ -18,12 +18,13 @@
 //! Each replica owns one bounded queue shard. A request's tenant id is
 //! hashed onto its *home shard* by [`route_tenant`] — stable across
 //! restarts and thread budgets — so per-tenant admission (fair-share
-//! throttling) is a single-shard check. An idle replica whose own shard
-//! is empty steals one whole micro-batch from the longest sibling queue,
-//! but only past a backlog threshold
-//! ([`StealPolicy`](crate::config::StealPolicy)): strictly sequential
-//! traffic never experiences a steal, which keeps the deterministic obs
-//! section byte-identical to a single-replica run.
+//! throttling) is a single-shard check. A free replica claims what its
+//! own shard holds at once; when that is empty it steals one whole
+//! micro-batch from the longest sibling queue, but only from one holding
+//! more than a full batch
+//! ([`steal_threshold`](crate::config::ServeConfig::steal_threshold)):
+//! strictly sequential traffic never experiences a steal, which keeps
+//! the deterministic obs section byte-identical to a single-replica run.
 //!
 //! ## Exactly one outcome
 //!

@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 use dar_obs::ObsEvent;
 
 use crate::canary::splitmix64;
-use crate::config::RespawnBackoff;
 use crate::health::{classify_stall, HealthState, StallVerdict};
 use crate::request::Count;
 use crate::server::{ModelFactory, Shared};
@@ -32,6 +31,15 @@ use crate::worker;
 
 /// The supervisor's poll interval: watchdog tick and deadline sweep.
 const TICK: Duration = Duration::from_millis(20);
+
+/// First respawn delay of a crash streak.
+const RESPAWN_BASE: Duration = Duration::from_millis(10);
+/// Respawn delay ceiling, before jitter.
+const RESPAWN_CAP: Duration = Duration::from_millis(500);
+/// A worker surviving this long ends its slot's crash streak.
+const RESPAWN_RESET_AFTER: Duration = Duration::from_secs(5);
+/// Seed of the deterministic respawn jitter.
+const RESPAWN_JITTER_SEED: u64 = 0xDA2_B0FF;
 
 /// Supervisor-local per-slot bookkeeping. The shared, worker-visible side
 /// lives in [`HealthSlot`](crate::health::HealthSlot); this is the
@@ -158,16 +166,15 @@ impl Supervisor {
     /// a scheduled respawn, not a sleep: the poll loop stays live for
     /// every other slot.
     fn schedule_respawn(&mut self, slot: usize, now: Instant, probation: bool) {
-        let pol = &self.shared.cfg.respawn;
         let w = &mut self.watch[slot];
         if w.last_death
-            .is_some_and(|prev| now.duration_since(prev) > pol.reset_after)
+            .is_some_and(|prev| now.duration_since(prev) > RESPAWN_RESET_AFTER)
         {
             w.attempts = 0;
         }
         w.last_death = Some(now);
         w.attempts += 1;
-        let delay = respawn_delay(pol, slot, w.attempts);
+        let delay = respawn_delay(slot, w.attempts);
         dar_obs::event(ObsEvent::RespawnBackoff {
             slot: slot as u64,
             attempt: w.attempts as u64,
@@ -315,14 +322,14 @@ impl Supervisor {
 }
 
 /// Backoff for respawn `attempt` (1-based) of `slot`:
-/// `min(base · 2^(attempt-1), cap)` plus up to +25% jitter from a
-/// splitmix64 of `(jitter_seed, slot, attempt)` — deterministic, so a
-/// chaos replay sees the identical schedule.
-fn respawn_delay(pol: &RespawnBackoff, slot: usize, attempt: u32) -> Duration {
+/// `min(RESPAWN_BASE · 2^(attempt-1), RESPAWN_CAP)` plus up to +25%
+/// jitter from a splitmix64 of `(RESPAWN_JITTER_SEED, slot, attempt)` —
+/// deterministic, so a chaos replay sees the identical schedule.
+fn respawn_delay(slot: usize, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(16);
-    let base = pol.base.saturating_mul(1u32 << exp).min(pol.cap);
+    let base = RESPAWN_BASE.saturating_mul(1u32 << exp).min(RESPAWN_CAP);
     let x = splitmix64(
-        pol.jitter_seed
+        RESPAWN_JITTER_SEED
             .wrapping_add((slot as u64) << 32)
             .wrapping_add(attempt as u64),
     );
@@ -337,20 +344,23 @@ mod tests {
 
     #[test]
     fn respawn_backoff_is_bounded_exponential_and_deterministic() {
-        let pol = RespawnBackoff::default();
-        let d1 = respawn_delay(&pol, 0, 1);
-        let d2 = respawn_delay(&pol, 0, 2);
-        let d8 = respawn_delay(&pol, 0, 8);
-        assert!(d1 >= pol.base && d1 <= pol.base + pol.base / 4);
+        let (base, cap) = (RESPAWN_BASE, RESPAWN_CAP);
+        let d1 = respawn_delay(0, 1);
+        let d2 = respawn_delay(0, 2);
+        let d8 = respawn_delay(0, 8);
+        assert!(d1 >= base && d1 <= base + base / 4);
         assert!(d2 > d1, "second attempt backs off further");
-        assert!(
-            d8 <= pol.cap + pol.cap / 4,
-            "cap bounds the schedule: {d8:?}"
-        );
+        assert!(d8 <= cap + cap / 4, "cap bounds the schedule: {d8:?}");
         // Seeded jitter: same inputs, same delay; different slot differs.
-        assert_eq!(respawn_delay(&pol, 0, 3), respawn_delay(&pol, 0, 3));
-        assert_ne!(respawn_delay(&pol, 0, 3), respawn_delay(&pol, 1, 3));
+        assert_eq!(respawn_delay(0, 3), respawn_delay(0, 3));
+        assert_ne!(respawn_delay(0, 3), respawn_delay(1, 3));
         // Attempt counts far past the cap do not overflow.
-        assert!(respawn_delay(&pol, 2, 1_000) <= pol.cap + pol.cap / 4);
+        assert!(respawn_delay(2, 1_000) <= cap + cap / 4);
+        // The schedule itself, in microseconds: slot 0, attempts 1–8.
+        let slot0: Vec<u128> = (1..=8).map(|a| respawn_delay(0, a).as_micros()).collect();
+        let pinned = [
+            11_721, 23_017, 46_675, 81_948, 193_276, 340_784, 554_877, 615_297,
+        ];
+        assert_eq!(slot0, pinned);
     }
 }

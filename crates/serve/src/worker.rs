@@ -104,8 +104,7 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
         let max_batch = shared.cfg.max_batch;
         let cap = shared.breaker.lock().unwrap().batch_cap(max_batch);
         let mut core = shared.core();
-        let now = Instant::now();
-        let (claim, expired) = core.claim(slot, gen, cap, now);
+        let (claim, expired) = core.claim(slot, gen, cap, Instant::now());
         let batch = match claim {
             Claim::Batch(batch) => batch,
             Claim::Stop => {
@@ -117,17 +116,13 @@ fn worker_loop(shared: &Shared, factory: &ModelFactory, death: DeathNotice) {
                 shared.ledger.fail_all(expired);
                 return;
             }
-            Claim::Idle | Claim::Linger(_) if !expired.is_empty() => {
+            Claim::Idle if !expired.is_empty() => {
                 drop(core);
                 shared.ledger.fail_all(expired);
                 continue;
             }
             Claim::Idle => {
                 let _ = shared.wake[slot].wait_timeout(core, IDLE_POLL);
-                continue;
-            }
-            Claim::Linger(until) => {
-                let _ = shared.wake[slot].wait_timeout(core, until.saturating_duration_since(now));
                 continue;
             }
         };

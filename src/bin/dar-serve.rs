@@ -38,7 +38,7 @@ use dar::cli::{bool_flag, flag};
 use dar::core::fault::StallPlan;
 use dar::data::Review;
 use dar::prelude::*;
-use dar::serve::{HealthPolicy, ServeConfig, ServeError, Server, StealPolicy};
+use dar::serve::{HealthPolicy, ServeConfig, ServeError, Server};
 use dar::tensor::serial::{self, Checkpoint};
 
 fn main() {
@@ -101,11 +101,11 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
     let mut steals = Vec::new();
     let mut total_panics = 0u64;
     let mut all_ok = true;
-    // Best-of-3 per width (the obsbench discipline): each repetition is a
-    // fresh server over the same trace, and the best repetition is the
-    // capacity figure — the others measure scheduler luck, not the
-    // runtime. Correctness (every request ok, zero panics) is demanded
-    // of every repetition, not just the best one.
+    // Best-of-3 per width: each repetition is a fresh server over the
+    // same trace, and the best repetition is the capacity figure — the
+    // others measure scheduler luck, not the runtime. Correctness (every
+    // request ok, zero panics) is demanded of every repetition, not just
+    // the best one.
     const REPS: usize = 3;
     for width in WIDTHS {
         let mut best: Option<(f64, [u64; 3], u64, u64)> = None;
@@ -273,14 +273,10 @@ fn health_bench(seed: u64, out_dir: &std::path::Path) {
                 ServeConfig {
                     replicas: width,
                     max_batch: 8,
-                    linger: Duration::from_millis(1),
                     queue_cap: 64,
                     vocab_size: vocab_rows,
                     max_len: ml,
-                    steal: StealPolicy {
-                        enabled: false,
-                        min_victim_backlog: None,
-                    },
+                    steal: false,
                     health: policy.clone(),
                     ..ServeConfig::default()
                 },

@@ -114,6 +114,44 @@ impl ServeFixture {
         r.ids[0] = trigger;
         r
     }
+
+    /// A lead request that holds the replica claiming it for
+    /// [`HOLD_MS`], once per replica under [`hold_plan`](Self::hold_plan):
+    /// requests submitted right behind it queue up, so the replica that
+    /// claims them next takes several at once.
+    pub fn lead(&self) -> Review {
+        self.triggered(0, self.trigger(HOLD_TRIGGER))
+    }
+
+    /// The chaos plan under which a [`lead`](Self::lead) request holds
+    /// its replica: a non-sticky sleep.
+    pub fn hold_plan(&self) -> ChaosPlan {
+        ChaosPlan {
+            stall: StallPlan {
+                sleep_token: Some((self.trigger(HOLD_TRIGGER), HOLD_MS)),
+                sticky: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+}
+
+/// Trigger index of [`ServeFixture::lead`].
+const HOLD_TRIGGER: usize = 7;
+
+/// How long a [`ServeFixture::lead`] request holds its replica.
+const HOLD_MS: u64 = 150;
+
+/// Some micro-batch carried two or more requests: the replicas served
+/// more requests than they answered batches.
+pub fn assert_mixed_batches(stats: &StatsSnapshot) {
+    let served: u64 = stats.replicas.iter().map(|r| r.served).sum();
+    let batches: u64 = stats.replicas.iter().map(|r| r.ok_batches).sum();
+    assert!(
+        served > batches,
+        "every batch carried one request: {served} served in {batches} batches"
+    );
 }
 
 /// The request ledger balances: every submitted request landed in exactly

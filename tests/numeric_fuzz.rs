@@ -260,7 +260,6 @@ fn train_event_names_the_tainting_op() {
 #[test]
 fn breaker_cause_names_the_tainting_op() {
     use std::sync::Arc;
-    use std::time::Duration;
 
     use dar::prelude::*;
     use dar::serve::{BreakerPolicy, BreakerState, ServeConfig, Server, TransitionCause};
@@ -302,7 +301,6 @@ fn breaker_cause_names_the_tainting_op() {
         ServeConfig {
             replicas: 1,
             max_batch: 1,
-            linger: Duration::ZERO,
             vocab_size: vocab_rows,
             max_len: ml,
             breaker: BreakerPolicy {

@@ -434,7 +434,6 @@ fn burst_spanning_rollback_drops_nothing() {
 
     let cfg = ServeConfig {
         max_batch: 4,
-        linger: Duration::from_millis(1),
         ..fx.serve_cfg(2)
     };
     let server = Server::start(cfg, fx.factory());

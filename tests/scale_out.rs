@@ -37,7 +37,6 @@ use dar::core::guard::GuardPolicy;
 use dar::prelude::*;
 use dar::serve::{
     route_tenant, BreakerPolicy, CanaryPolicy, PromotionPhase, ServeConfig, ServeError, Server,
-    StealPolicy,
 };
 use dar::tensor::serial::{self, Checkpoint};
 
@@ -125,7 +124,6 @@ fn exactly_one_outcome_under_chaos_at_every_width() {
         let server = Server::start(
             ServeConfig {
                 max_batch: 8,
-                linger: Duration::from_millis(1),
                 ..fx.serve_cfg(width)
             },
             fx.factory(ChaosPlan {
@@ -199,7 +197,6 @@ fn mid_steal_quarantine_never_double_dispatches() {
     let server = Server::start(
         ServeConfig {
             max_batch: 8,
-            linger: Duration::from_millis(1),
             queue_cap: 128,
             health: dar::serve::HealthPolicy {
                 stall_budget: Duration::from_millis(120),
@@ -288,7 +285,6 @@ fn hot_swap_and_canary_promotion_are_atomic_across_replicas() {
     let fx = ServeFixture::new(720);
     let cfg = ServeConfig {
         max_batch: 4,
-        linger: Duration::from_millis(1),
         breaker: BreakerPolicy {
             collapse: open_policy(),
             ..BreakerPolicy::default()
@@ -390,13 +386,9 @@ fn one_hot_tenant_cannot_starve_its_shard_mates() {
         .expect("64 tenants cover 2 shards");
     let cfg = ServeConfig {
         max_batch: 4,
-        linger: Duration::from_millis(1),
         queue_cap: 16,
         tenant_fair_share: Some(0.25), // 4 of 16 slots
-        steal: StealPolicy {
-            enabled: false,
-            min_victim_backlog: None,
-        },
+        steal: false,
         ..fx.serve_cfg(2)
     };
     let server = Server::start(

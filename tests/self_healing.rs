@@ -37,7 +37,7 @@ use dar::core::guard::GuardPolicy;
 use dar::prelude::*;
 use dar::serve::{
     route_tenant, route_tenant_healthy, BreakerPolicy, CanaryPolicy, HealthPolicy, HealthState,
-    PromotionPhase, RollbackCause, ServeConfig, ServeError, Server, StealPolicy,
+    PromotionPhase, RollbackCause, ServeConfig, ServeError, Server,
 };
 use dar::tensor::serial::{self, Checkpoint};
 
@@ -96,11 +96,7 @@ fn sticky_stall_quarantines_and_resolves_every_request_typed() {
         let server = Server::start(
             ServeConfig {
                 max_batch: 4,
-                linger: Duration::from_millis(1),
-                steal: StealPolicy {
-                    enabled: false,
-                    min_victim_backlog: None,
-                },
+                steal: false,
                 health: fast_health(),
                 ..fx.serve_cfg(width)
             },
@@ -196,11 +192,7 @@ fn one_shot_stall_rejoins_after_probation_and_restores_routing() {
     let server = Server::start(
         ServeConfig {
             max_batch: 4,
-            linger: Duration::from_millis(1),
-            steal: StealPolicy {
-                enabled: false,
-                min_victim_backlog: None,
-            },
+            steal: false,
             health: fast_health(),
             ..fx.serve_cfg(width)
         },
@@ -277,7 +269,6 @@ fn quarantine_mid_canary_rolls_back_with_typed_cause() {
     let server = Server::start(
         ServeConfig {
             max_batch: 4,
-            linger: Duration::from_millis(1),
             breaker: BreakerPolicy {
                 collapse: open_policy(),
                 ..BreakerPolicy::default()
@@ -353,13 +344,9 @@ fn deadline_sweep_rescues_sub_threshold_backlog_from_a_wedged_owner() {
     let sleep_tok = fx.trigger(4);
     let server = Server::start(
         ServeConfig {
+            // Steal threshold 5, above the backlog this test builds: no
+            // thief bites.
             max_batch: 4,
-            linger: Duration::from_millis(1),
-            steal: StealPolicy {
-                enabled: true,
-                // Far above the backlog this test builds: no thief bites.
-                min_victim_backlog: Some(64),
-            },
             // A stall budget far above the 1.2s wedge: the watchdog never
             // condemns the owner, so the sweep alone must rescue the
             // stranded requests.
@@ -381,7 +368,7 @@ fn deadline_sweep_rescues_sub_threshold_backlog_from_a_wedged_owner() {
     let tenant = 1u64;
 
     // Wedge the home replica, then strand three short-deadline requests
-    // behind it — a backlog of 3 against a steal threshold of 64.
+    // behind it — a backlog of 3 against a steal threshold of 5.
     let wedge =
         server.submit_for_tenant(fx.triggered(0, sleep_tok), tenant, Duration::from_secs(10));
     std::thread::sleep(Duration::from_millis(60)); // let the batch get claimed

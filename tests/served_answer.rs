@@ -1,19 +1,20 @@
 //! A server answers with the model's served answer (`RationaleModel::answer`,
 //! DESIGN.md §10), never with a pass of its own: every Ok label and
 //! rationale equals a solo `infer` of the same weights, whether the request
-//! ran alone or in a mixed micro-batch of up to 16. `serving_chaos`'s
-//! batching invariance compares served answers with each other; this pins
-//! them to `infer` itself.
+//! ran alone or in a mixed micro-batch of up to 16. The batched server's
+//! reviews queue behind a lead request that holds its replica, and its
+//! counters show that mixed batches formed. `serving_chaos`'s batching
+//! invariance compares served answers with each other; this pins them to
+//! `infer` itself.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::ServeFixture;
 use dar::data::Review;
 use dar::prelude::*;
-use dar::serve::{ModelFactory, ServeConfig, ServeOutput, Server};
+use dar::serve::{ModelFactory, ServeConfig, ServeOutput, Server, StatsSnapshot};
 use dar::tensor::no_grad;
 use dar::Tensor;
 
@@ -23,8 +24,9 @@ use dar::Tensor;
 const TRAIN_EPOCHS: usize = 8;
 
 /// Replicas of one DAR trained briefly on the fixture: each builds the
-/// same architecture and restores the trained values. The discriminator
-/// stays untrained: only the degraded path reads it.
+/// same architecture and restores the trained values, under the fixture's
+/// hold plan, which only the lead request's token fires. The
+/// discriminator stays untrained: only the degraded path reads it.
 fn dar_factory(fx: &ServeFixture) -> ModelFactory {
     let (cfg, vocab_rows, ml) = (fx.cfg, fx.vocab_rows, fx.ml);
     let build = move || {
@@ -41,23 +43,33 @@ fn dar_factory(fx: &ServeFixture) -> ModelFactory {
         }
     }
     let trained = model.snapshot();
+    let plan = fx.hold_plan();
     Arc::new(move || {
         let mut model = build();
         model.restore(&trained);
-        Box::new(model)
+        Box::new(ChaosModel::new(model, plan))
     })
 }
 
-/// Submit every review before waiting, so a batching server groups them.
-fn serve(cfg: ServeConfig, factory: ModelFactory, reviews: &[Review]) -> Vec<ServeOutput> {
+/// Submit every review, behind `lead` if given, before waiting. Returns
+/// the reviews' answers (not the lead's) and the server's final counters.
+fn serve(
+    cfg: ServeConfig,
+    factory: ModelFactory,
+    lead: Option<Review>,
+    reviews: &[Review],
+) -> (Vec<ServeOutput>, StatsSnapshot) {
     let server = Server::start(cfg, factory);
+    let lead = lead.map(|r| server.submit(r));
     let tickets: Vec<_> = reviews.iter().map(|r| server.submit(r.clone())).collect();
     let outs = tickets
         .into_iter()
         .map(|t| t.wait().expect("a clean review is served"))
         .collect();
-    server.shutdown();
-    outs
+    if let Some(t) = lead {
+        t.wait().expect("the lead request is served");
+    }
+    (outs, server.shutdown())
 }
 
 #[test]
@@ -65,24 +77,25 @@ fn every_served_answer_equals_a_solo_infer() {
     let fx = ServeFixture::new(600);
     let factory = dar_factory(&fx);
     let reviews: Vec<Review> = fx.data.train.iter().take(40).cloned().collect();
-    let solo = serve(
+    let (solo, _) = serve(
         ServeConfig {
             max_batch: 1,
-            linger: Duration::ZERO,
             ..fx.serve_cfg(1)
         },
         Arc::clone(&factory),
+        None,
         &reviews,
     );
-    let batched = serve(
+    let (batched, stats) = serve(
         ServeConfig {
             max_batch: 16,
-            linger: Duration::from_millis(10),
             ..fx.serve_cfg(2)
         },
         Arc::clone(&factory),
+        Some(fx.lead()),
         &reviews,
     );
+    common::assert_mixed_batches(&stats);
 
     let reference = factory();
     let mut probe_differs = 0;

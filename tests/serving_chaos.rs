@@ -1,9 +1,11 @@
 //! Seeded chaos harness for the serving runtime (DESIGN.md §10).
 //!
-//! Faults are injected through [`ChaosModel`] trigger tokens (panics,
-//! rationale collapse, slow inference — in `infer` only, so the
-//! predictor-only degraded path stays clean) and through corrupted
-//! checkpoint files offered mid-swap. The invariants under test:
+//! Faults are injected through [`ChaosModel`] trigger tokens and through
+//! corrupted checkpoint files offered mid-swap. The token faults (panics,
+//! rationale collapse, slow inference) fire in `RationaleModel::answer`,
+//! the served path, so the predictor-only degraded path stays clean; only
+//! the full-panic token reaches `predict_full_text` too, to drive the
+//! breaker into a full shed. The invariants under test:
 //!
 //! * **Exactly one outcome** — every submitted request resolves to one
 //!   terminal verdict; `ServeError::Lost` is never observed.
@@ -44,7 +46,6 @@ fn exactly_one_outcome_at(replicas: usize) {
     });
     let cfg = ServeConfig {
         max_batch: 4,
-        linger: Duration::from_millis(1),
         ..fx.serve_cfg(replicas)
     };
     let server = Server::start(cfg, factory);
@@ -130,7 +131,6 @@ fn breaker_walks_closed_degraded_open_halfopen_closed() {
     });
     let cfg = ServeConfig {
         max_batch: 1,
-        linger: Duration::ZERO,
         breaker: BreakerPolicy {
             failure_threshold: 2,
             degraded_threshold: 2,
@@ -210,7 +210,6 @@ fn rationale_collapse_degrades_with_predictor_fallback() {
     });
     let cfg = ServeConfig {
         max_batch: 1,
-        linger: Duration::ZERO,
         breaker: BreakerPolicy {
             failure_threshold: 1,
             ..BreakerPolicy::default()
@@ -289,7 +288,9 @@ fn hot_swap_is_atomic_and_rejects_corruption() {
 
 /// A review's verdict must not depend on micro-batch composition: a
 /// one-request-per-batch server and a batching multi-replica server give
-/// identical labels and rationales for identical inputs.
+/// identical labels and rationales for identical inputs. The batched
+/// server's compared reviews queue behind a lead request that holds its
+/// replica, and its counters show that mixed batches formed.
 fn batching_invariance_at(replicas: usize) {
     let fx = ServeFixture::new(540);
     let reviews: Vec<Review> = (0..10).map(|i| fx.clean(i)).collect();
@@ -297,7 +298,6 @@ fn batching_invariance_at(replicas: usize) {
     let solo = Server::start(
         ServeConfig {
             max_batch: 1,
-            linger: Duration::ZERO,
             ..fx.serve_cfg(1)
         },
         fx.factory(ChaosPlan::default()),
@@ -311,19 +311,18 @@ fn batching_invariance_at(replicas: usize) {
     let batched = Server::start(
         ServeConfig {
             max_batch: 8,
-            linger: Duration::from_millis(10),
             ..fx.serve_cfg(replicas)
         },
-        fx.factory(ChaosPlan::default()),
+        fx.factory(fx.hold_plan()),
     );
-    // Submit everything before waiting so the linger window really
-    // groups requests into mixed batches.
+    let lead = batched.submit(fx.lead());
     let tickets: Vec<_> = reviews.iter().map(|r| batched.submit(r.clone())).collect();
     let batched_outs: Vec<_> = tickets
         .into_iter()
         .map(|t| t.wait().expect("batched serves"))
         .collect();
-    batched.shutdown();
+    lead.wait().expect("the lead request serves");
+    common::assert_mixed_batches(&batched.shutdown());
 
     for (i, (a, b)) in solo_outs.iter().zip(&batched_outs).enumerate() {
         assert_eq!(a.label, b.label, "label of review {i} depends on batching");
@@ -358,7 +357,6 @@ fn supervisor_respawn_at(replicas: usize) {
     });
     let cfg = ServeConfig {
         max_batch: 1,
-        linger: Duration::ZERO,
         lethal_panic_marker: Some("chaos: panic token".to_owned()),
         ..fx.serve_cfg(replicas)
     };
@@ -412,7 +410,6 @@ fn half_open_probe_recovers_across_a_concurrent_swap() {
     });
     let cfg = ServeConfig {
         max_batch: 1,
-        linger: Duration::ZERO,
         breaker: BreakerPolicy {
             failure_threshold: 2,
             degraded_threshold: 2,
@@ -488,7 +485,6 @@ fn deadlines_and_backpressure_resolve_typed() {
     });
     let cfg = ServeConfig {
         max_batch: 1,
-        linger: Duration::ZERO,
         queue_cap: 2,
         ..fx.serve_cfg(1)
     };
@@ -530,7 +526,6 @@ fn shutdown_answers_queued_requests_and_balances_the_ledger() {
     let server = Server::start(
         ServeConfig {
             max_batch: 1,
-            linger: Duration::ZERO,
             ..fx.serve_cfg(1)
         },
         fx.factory(ChaosPlan {
