@@ -1,14 +1,10 @@
-//! Minimal JSON utilities: an escaping writer used by the snapshot
-//! exporter, and a flat-object parser used by `benchgate` to read the
-//! `results/BENCH_*.json` trajectory points.
+//! Minimal JSON writing for the snapshot exporter and the event
+//! journal: escaped strings and shortest-roundtrip floats.
 //!
-//! Deliberately tiny — the workspace has no serde, and the files this
-//! crate reads and writes are all machine-generated by this workspace.
-
-use std::collections::BTreeMap;
+//! Deliberately tiny — the workspace has no serde.
 
 /// Append `s` to `out` as a quoted JSON string with escaping.
-pub fn push_str(out: &mut String, s: &str) {
+pub(crate) fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,197 +25,11 @@ pub fn push_str(out: &mut String, s: &str) {
 /// Append an `f32` in shortest-roundtrip form. Non-finite values (JSON
 /// has no literal for them) are written as quoted strings so the
 /// document stays parseable.
-pub fn push_f32(out: &mut String, v: f32) {
+pub(crate) fn push_f32(out: &mut String, v: f32) {
     if v.is_finite() {
         out.push_str(&format!("{v:?}"));
     } else {
         push_str(out, &format!("{v:?}"));
-    }
-}
-
-/// One scalar field of a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-impl Scalar {
-    /// The numeric value, if this field is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Scalar::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a *flat* JSON object — string/number/bool/null values only, no
-/// nesting. This covers every `results/BENCH_*.json` trajectory file.
-pub fn parse_flat(text: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-        p.finish()?;
-        return Ok(map);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.scalar()?;
-        map.insert(key, value);
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => {
-                p.pos += 1;
-                break;
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    p.finish()?;
-    Ok(map)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            None => Ok(()),
-            Some(c) => Err(format!("trailing content starting with '{}'", c as char)),
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, got {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe: copy raw
-                    // bytes until the next ASCII quote/backslash).
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') => self.literal("true", Scalar::Bool(true)),
-            Some(b'f') => self.literal("false", Scalar::Bool(false)),
-            Some(b'n') => self.literal("null", Scalar::Null),
-            Some(b'{' | b'[') => Err("nested values are not supported".into()),
-            Some(_) => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.pos += 1;
-                }
-                let raw =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-                raw.parse::<f64>()
-                    .map(Scalar::Num)
-                    .map_err(|_| format!("bad number '{raw}'"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Scalar) -> Result<Scalar, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("expected '{word}' at byte {}", self.pos))
-        }
     }
 }
 
@@ -232,35 +42,6 @@ mod tests {
         let mut out = String::new();
         push_str(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, r#""a\"b\\c\nd\te\u0001""#);
-    }
-
-    #[test]
-    fn parses_a_bench_point() {
-        let m = parse_flat(
-            r#"{"requests": 400, "throughput_rps": 1419.69, "ok": true, "name": "serve", "none": null}"#,
-        )
-        .unwrap();
-        assert_eq!(m["requests"].as_f64(), Some(400.0));
-        assert_eq!(m["throughput_rps"].as_f64(), Some(1419.69));
-        assert_eq!(m["ok"], Scalar::Bool(true));
-        assert_eq!(m["name"], Scalar::Str("serve".into()));
-        assert_eq!(m["none"], Scalar::Null);
-    }
-
-    #[test]
-    fn rejects_nesting_and_garbage() {
-        assert!(parse_flat(r#"{"a": {"b": 1}}"#).is_err());
-        assert!(parse_flat(r#"{"a": [1]}"#).is_err());
-        assert!(parse_flat(r#"{"a" 1}"#).is_err());
-        assert!(parse_flat("").is_err());
-        assert!(parse_flat("{}").unwrap().is_empty());
-    }
-
-    #[test]
-    fn negative_and_exponent_numbers() {
-        let m = parse_flat(r#"{"a": -3.25, "b": 1e3}"#).unwrap();
-        assert_eq!(m["a"].as_f64(), Some(-3.25));
-        assert_eq!(m["b"].as_f64(), Some(1000.0));
     }
 
     #[test]

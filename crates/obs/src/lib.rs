@@ -44,7 +44,7 @@
 //! [`TrainEvent`]: https://docs.rs/dar-core
 
 mod journal;
-pub mod json;
+mod json;
 mod registry;
 mod snapshot;
 mod span;

@@ -12,10 +12,10 @@
 //! parent directory through [`dar_tensor::storage::sync_parent`], so the
 //! log's name survives a crash.
 //!
-//! Every append is a single `append_sync` (write + fsync) of whole
-//! frames ([`Wal::append`] is [`Wal::append_many`] of one payload), so a
-//! crash can only damage the *last* write: either its frames are whole
-//! and CRC-clean (committed) or the file ends in a torn prefix of them.
+//! Every append is a single `append_sync` (write + fsync) of one whole
+//! frame, so a crash can only damage the *last* write: either its frame
+//! is whole and CRC-clean (committed) or the file ends in a torn prefix
+//! of it.
 //! Replay walks frames until the first bad one — zero/oversized length,
 //! short payload, or CRC mismatch — and reports the byte offset of the
 //! damage; [`Wal::open`] then truncates the file there so the log is
@@ -158,36 +158,17 @@ impl Wal {
     /// `Ok` the record is committed: replay after any later crash will
     /// yield it.
     pub fn append(&self, payload: &[u8]) -> DarResult<()> {
-        self.append_many([payload])
-    }
-
-    /// Append many records as one framed write + single fsync — the
-    /// batched path for bulk writers and the recovery replay bench
-    /// (`dar-loop --wal-pad`). Atomicity is per *call*, not per record:
-    /// a crash mid-call can tear the batch at any frame boundary (or
-    /// mid-frame), and replay keeps exactly the clean prefix.
-    pub fn append_many<I, B>(&self, payloads: I) -> DarResult<()>
-    where
-        I: IntoIterator<Item = B>,
-        B: AsRef<[u8]>,
-    {
-        let mut buf = Vec::new();
-        for p in payloads {
-            let p = p.as_ref();
-            if p.is_empty() || p.len() > MAX_FRAME {
-                return Err(DarError::InvalidData(format!(
-                    "WAL payload of {} bytes (admissible 1..={MAX_FRAME})",
-                    p.len()
-                )));
-            }
-            buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(p).to_le_bytes());
-            buf.extend_from_slice(p);
+        if payload.is_empty() || payload.len() > MAX_FRAME {
+            return Err(DarError::InvalidData(format!(
+                "WAL payload of {} bytes (admissible 1..={MAX_FRAME})",
+                payload.len()
+            )));
         }
-        if buf.is_empty() {
-            return Ok(());
-        }
-        self.storage.append_sync(&self.path, &buf)
+        let mut frame = Vec::with_capacity(8 + payload.len());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        self.storage.append_sync(&self.path, &frame)
     }
 
     pub fn path(&self) -> &Path {
@@ -287,20 +268,6 @@ mod tests {
             assert_eq!(&r.records[0], &vec![0u8; 16]);
             assert_eq!(&r.records[1], &vec![1u8; 16]);
         }
-        std::fs::remove_dir_all(&d).ok();
-    }
-
-    #[test]
-    fn append_many_replays_like_individual_appends() {
-        let d = tmpdir("many");
-        let p = d.join("w.wal");
-        let (wal, _) = Wal::open(storage(), &p).unwrap();
-        wal.append_many((0..100u32).map(|i| i.to_le_bytes().to_vec()))
-            .unwrap();
-        drop(wal);
-        let (_, r) = Wal::open(storage(), &p).unwrap();
-        assert_eq!(r.records.len(), 100);
-        assert_eq!(r.records[41], 41u32.to_le_bytes().to_vec());
         std::fs::remove_dir_all(&d).ok();
     }
 

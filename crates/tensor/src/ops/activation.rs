@@ -13,21 +13,18 @@ fn unary(
     bwd: impl Fn(f32, f32, f32) -> f32 + 'static,
 ) -> Tensor {
     let values: Vec<f32> = t.values().iter().map(|&x| fwd(x)).collect();
-    let saved_out = values.clone();
     Tensor::from_op(
         op,
         values,
         t.shape().to_vec(),
         vec![t.clone()],
-        Box::new(move |g, parents| {
+        Box::new(move |g, out, parents| {
             let p = &parents[0];
             if !p.requires_grad() {
                 return;
             }
             let xv = p.values();
-            let grads: Vec<f32> = (0..g.len())
-                .map(|i| bwd(xv[i], saved_out[i], g[i]))
-                .collect();
+            let grads: Vec<f32> = (0..g.len()).map(|i| bwd(xv[i], out[i], g[i])).collect();
             drop(xv);
             p.accumulate_grad(&grads);
         }),

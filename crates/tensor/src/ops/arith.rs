@@ -300,7 +300,7 @@ fn try_binary(op: BinOp, a: &Tensor, b: &Tensor) -> DarResult<Tensor> {
         values,
         out_shape,
         vec![a.clone(), b.clone()],
-        Box::new(move |g, parents| {
+        Box::new(move |g, _, parents| {
             binary_backward(op, g, &shape_for_bw, &parents[0], &parents[1]);
         }),
     ))
@@ -359,7 +359,7 @@ impl Tensor {
             values,
             self.shape().to_vec(),
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 if parents[0].requires_grad() {
                     parents[0].accumulate_grad(g);
                 }
@@ -375,7 +375,7 @@ impl Tensor {
             values,
             self.shape().to_vec(),
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 if parents[0].requires_grad() {
                     let gg: Vec<f32> = g.iter().map(|&x| x * c).collect();
                     parents[0].accumulate_grad(&gg);

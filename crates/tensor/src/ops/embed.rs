@@ -42,7 +42,7 @@ impl Tensor {
             out,
             vec![ids_saved.len(), e],
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;

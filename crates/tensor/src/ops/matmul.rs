@@ -112,7 +112,7 @@ impl Tensor {
             values,
             vec![m, n],
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let (a, b) = (&parents[0], &parents[1]);
                 if a.requires_grad() {
                     // dA = G @ B^T : [m,n] @ [n,k]
@@ -196,7 +196,7 @@ impl Tensor {
             values,
             vec![bs, m, n],
             vec![self.clone(), other.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let (a, b) = (&parents[0], &parents[1]);
                 let shards = bmm_shards(bs, m, k, n);
                 if a.requires_grad() {

@@ -133,7 +133,7 @@ impl Tensor {
             out,
             shape.to_vec(),
             vec![self.clone(), gamma.clone(), beta.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let (x, gamma, beta) = (&parents[0], &parents[1], &parents[2]);
                 let needs_dx = x.requires_grad();
                 let needs_dg = gamma.requires_grad();

@@ -41,7 +41,7 @@ impl Tensor {
             vec![total],
             vec![1],
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if p.requires_grad() {
                     p.accumulate_grad(&vec![g[0]; n]);
@@ -84,7 +84,7 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;
@@ -154,7 +154,7 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;
@@ -195,7 +195,7 @@ impl Tensor {
             self.to_vec(),
             shape.to_vec(),
             vec![self.clone()],
-            Box::new(|g, parents| {
+            Box::new(|g, _, parents| {
                 let p = &parents[0];
                 if p.requires_grad() {
                     p.accumulate_grad(g);
@@ -215,7 +215,7 @@ impl Tensor {
             values,
             vec![c, r],
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if p.requires_grad() {
                     let gt = super::matmul::transpose_raw(g, c, r);
@@ -256,7 +256,7 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;

@@ -9,11 +9,12 @@
 //! weight-gradient partials are reduced by the caller in shard-index order
 //! — making results bit-identical for any `DAR_THREADS` (DESIGN.md §9).
 //!
-//! BPTT reads the forward's gate activations and a copy of its output. A
-//! node that will not be tracked (under `no_grad`, or with no input that
-//! requires gradients: every serving and eval call) has no backward, so
-//! its forward allocates and writes neither; the arithmetic is the same,
-//! so its output is bit-identical to a tracked call's.
+//! BPTT reads the forward's gate activations, which the forward stashes,
+//! and its output, which the node owns. A node that will not be tracked
+//! (under `no_grad`, or with no input that requires gradients: every
+//! serving and eval call) has no backward, so its forward allocates and
+//! writes no stash; the arithmetic is the same, so its output is
+//! bit-identical to a tracked call's.
 //!
 //! Recurrence (`x_t: [b, e]`, `h: [b, hidden]`, mask `m_t`):
 //! ```text
@@ -441,10 +442,15 @@ pub fn gru_seq(
     };
     let Some(stash) = stash else {
         // Untracked: `from_op` drops parents and backward alike.
-        return Tensor::from_op("gru_seq", out, vec![b, l, h], parents, Box::new(|_, _| {}));
+        return Tensor::from_op(
+            "gru_seq",
+            out,
+            vec![b, l, h],
+            parents,
+            Box::new(|_, _, _| {}),
+        );
     };
 
-    let out_saved = Arc::new(out.clone());
     let stash = Arc::new(stash);
     let steps_saved = Arc::new(steps);
     Tensor::from_op(
@@ -452,7 +458,7 @@ pub fn gru_seq(
         out,
         vec![b, l, h],
         parents,
-        Box::new(move |g, parents| {
+        Box::new(move |g, out, parents| {
             let _span = dar_obs::span("gru_bptt");
             let (x, w_zr, b_zr, w_h, b_h) = (
                 &parents[0],
@@ -476,7 +482,7 @@ pub fn gru_seq(
             let wh_g = w_h.values();
             let (xv, wzr, wh): (&[f32], &[f32], &[f32]) = (&xg, &wzr_g, &wh_g);
             let mv = mask_vals.as_ref().map(|m| m.as_slice());
-            let (out, zs, rs, cs) = (&*out_saved, &stash.z, &stash.r, &stash.c);
+            let (zs, rs, cs) = (&stash.z, &stash.r, &stash.c);
             let steps: &[usize] = &steps_saved;
             let chunks = dar_par::run_shards(shards, |si| {
                 let r = dar_par::shard_range(b, shards, si);

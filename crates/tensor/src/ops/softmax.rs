@@ -79,20 +79,19 @@ impl Tensor {
             kern.softmax_rows(rows, out_rows, c);
         });
         drop(v);
-        let y_saved = out.clone();
         Ok(Tensor::from_op(
             "softmax",
             out,
             self.shape().to_vec(),
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, y_all, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;
                 }
                 let mut gin = vec![0.0f32; g.len()];
                 for_rows_sharded(g, &mut gin, c, |r0, gr, gin_rows| {
-                    let y = &y_saved[r0 * c..r0 * c + gr.len()];
+                    let y = &y_all[r0 * c..r0 * c + gr.len()];
                     kern.softmax_bwd_rows(y, gr, gin_rows, c);
                 });
                 p.accumulate_grad(&gin);
@@ -116,20 +115,19 @@ impl Tensor {
             kern.log_softmax_rows(rows, out_rows, c);
         });
         drop(v);
-        let ls_saved = out.clone();
         Ok(Tensor::from_op(
             "log_softmax",
             out,
             self.shape().to_vec(),
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, ls_all, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;
                 }
                 let mut gin = vec![0.0f32; g.len()];
                 for_rows_sharded(g, &mut gin, c, |r0, gr, gin_rows| {
-                    let ls = &ls_saved[r0 * c..r0 * c + gr.len()];
+                    let ls = &ls_all[r0 * c..r0 * c + gr.len()];
                     kern.log_softmax_bwd_rows(ls, gr, gin_rows, c);
                 });
                 p.accumulate_grad(&gin);

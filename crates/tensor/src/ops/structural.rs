@@ -76,7 +76,7 @@ pub fn try_concat(tensors: &[Tensor], axis: usize) -> DarResult<Tensor> {
         out,
         out_shape,
         parents,
-        Box::new(move |g, parents| {
+        Box::new(move |g, _, parents| {
             for (t, &(off, alen)) in parents.iter().zip(&spans) {
                 if !t.requires_grad() {
                     continue;
@@ -124,7 +124,7 @@ pub fn try_stack(tensors: &[Tensor]) -> DarResult<Tensor> {
         out,
         out_shape,
         tensors.to_vec(),
-        Box::new(move |g, parents| {
+        Box::new(move |g, _, parents| {
             for (i, t) in parents.iter().enumerate() {
                 if t.requires_grad() {
                     t.accumulate_grad(&g[i * inner_len..(i + 1) * inner_len]);
@@ -167,7 +167,7 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            Box::new(move |g, parents| {
+            Box::new(move |g, _, parents| {
                 let p = &parents[0];
                 if !p.requires_grad() {
                     return;

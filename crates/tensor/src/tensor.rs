@@ -51,9 +51,10 @@ pub(crate) fn tracked(parents: &[Tensor]) -> bool {
     grad_enabled() && parents.iter().any(|p| p.inner.requires_grad.get())
 }
 
-/// Backward closure: receives the gradient of the output and the parent
-/// tensors, and accumulates gradients into the parents.
-pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
+/// Backward closure: receives the gradient of the output, the output's
+/// own values (which the node owns, so an op keeps no copy of them) and
+/// the parent tensors, and accumulates gradients into the parents.
+pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[f32], &[Tensor])>;
 
 pub(crate) struct Inner {
     pub(crate) id: u64,
@@ -353,21 +354,14 @@ impl Tensor {
             let Some(bw) = &node.inner.backward else {
                 continue;
             };
-            let grad = {
-                let slot = node.inner.grad.borrow();
-                match slot.as_ref() {
-                    Some(g) => g.clone(),
-                    // Node was reachable but received no gradient (e.g. a
-                    // detached branch); nothing to propagate.
-                    None => continue,
-                }
+            // A node with a backward is an op result, whose gradient is
+            // not needed once propagated: taking it keeps step memory
+            // proportional to parameters. A node reachable without a
+            // gradient (e.g. a detached branch) has nothing to propagate.
+            let Some(grad) = node.inner.grad.borrow_mut().take() else {
+                continue;
             };
-            bw(&grad, &node.inner.parents);
-            // Intermediate gradients are not needed once propagated; free
-            // them to keep step memory proportional to parameters.
-            if !node.inner.parents.is_empty() {
-                *node.inner.grad.borrow_mut() = None;
-            }
+            bw(&grad, &node.inner.values.borrow(), &node.inner.parents);
         }
     }
 

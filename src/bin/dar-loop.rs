@@ -17,15 +17,13 @@
 //! harness (`tests/crash_recovery.rs`) SIGKILLs at seeded points:
 //! structurally biased candidates alternate promote/rollback verdicts
 //! that are independent of traffic position, so a recovered run's
-//! journal must continue the uninterrupted golden exactly. `--wal-pad N`
-//! additionally times a synthetic N-record WAL replay into
-//! `results/BENCH_recovery.json` for benchgate.
+//! journal must continue the uninterrupted golden exactly.
 //!
 //! ```sh
 //! dar-loop                           # defaults: 3 rounds, auto replicas
 //! dar-loop --rounds 5 --seed 7 --wave 24 --out results
 //! dar-loop --state-dir target/loop-state --recover
-//! dar-loop --drill --rounds 4 --state-dir target/drill --wal-pad 20000
+//! dar-loop --drill --rounds 4 --state-dir target/drill
 //! ```
 
 use std::path::PathBuf;
@@ -40,7 +38,7 @@ use dar::prelude::*;
 use dar::serve::{
     run_online_loop, CanaryPolicy, OnlineLoopConfig, PromotionPhase, ServeConfig, Server,
 };
-use dar::store::{DurableState, RealStorage, StateRecord, Wal, WAL_FILE};
+use dar::store::{DurableState, RealStorage};
 use dar::tensor::serial::{self, Checkpoint};
 use dar::tensor::Tensor;
 
@@ -80,8 +78,6 @@ fn drill_main(args: &[String]) {
     let state_dir: PathBuf = flag(args, "--state-dir").expect("--drill requires --state-dir DIR");
     let recover = bool_flag(args, "--recover");
     let delay_ms = flag(args, "--round-delay-ms").unwrap_or(0);
-    let wal_pad: Option<u64> = flag(args, "--wal-pad");
-    let out_dir: Option<PathBuf> = flag(args, "--out");
 
     if !recover {
         std::fs::remove_dir_all(&state_dir).ok();
@@ -115,9 +111,8 @@ fn drill_main(args: &[String]) {
     let traffic: Vec<Review> = data.test.iter().filter(|r| r.label == 1).cloned().collect();
     assert!(!traffic.is_empty(), "drill fixture needs label-1 traffic");
 
-    let storage: Arc<dyn dar::store::Storage> = Arc::new(RealStorage);
     let (mut state, recovery) =
-        DurableState::open(Arc::clone(&storage), &state_dir).expect("opening durable state");
+        DurableState::open(Arc::new(RealStorage), &state_dir).expect("opening durable state");
     eprintln!(
         "[dar-loop] drill state: {} records, generation {}, resume round {}, \
          torn {} bytes, {} orphans swept",
@@ -227,42 +222,6 @@ fn drill_main(args: &[String]) {
         report.rounds.iter().map(|r| r.served_ok).sum::<u64>(),
         stats.panics,
     );
-
-    // Optional replay-latency bench: pad a scratch WAL with N cursor
-    // records and time a cold DurableState::open over it.
-    if let (Some(n), Some(out)) = (wal_pad, out_dir) {
-        let bench_dir = state_dir.with_file_name(format!(
-            "{}_walbench",
-            state_dir.file_name().unwrap_or_default().to_string_lossy()
-        ));
-        std::fs::remove_dir_all(&bench_dir).ok();
-        std::fs::create_dir_all(&bench_dir).expect("creating wal bench dir");
-        {
-            let (wal, _) = Wal::open(Arc::clone(&storage), bench_dir.join(WAL_FILE))
-                .expect("opening bench WAL");
-            wal.append_many((0..n).map(|i| {
-                StateRecord::FeedCursor {
-                    next_round: i as usize,
-                }
-                .encode()
-            }))
-            .expect("padding bench WAL");
-        }
-        let started = Instant::now();
-        let (_, r) =
-            DurableState::open(Arc::clone(&storage), &bench_dir).expect("replaying bench WAL");
-        let replay_us = started.elapsed().as_micros() as u64;
-        assert_eq!(r.records.len() as u64, n, "bench replay lost records");
-        let per_s = n as f64 / (replay_us as f64 / 1e6).max(1e-9);
-        std::fs::create_dir_all(&out).expect("creating output dir");
-        let json = format!(
-            "{{\"replay_records\": {n}, \"replay_us\": {replay_us}, \
-              \"replay_records_per_s\": {per_s:.1}}}\n"
-        );
-        std::fs::write(out.join("BENCH_recovery.json"), json).expect("writing BENCH_recovery.json");
-        eprintln!("[dar-loop] WAL replay bench: {n} records in {replay_us} us ({per_s:.0} rec/s)");
-        std::fs::remove_dir_all(&bench_dir).ok();
-    }
     eprintln!("[dar-loop] ok");
 }
 
@@ -272,8 +231,7 @@ fn main() {
         eprintln!(
             "usage: dar-loop [--rounds N] [--wave N] [--seed N] [--out DIR]\n\
              \x20       [--state-dir DIR [--recover]]\n\
-             \x20       --drill --state-dir DIR [--rounds N] [--round-delay-ms D]\n\
-             \x20               [--recover] [--wal-pad N --out DIR]"
+             \x20       --drill --state-dir DIR [--rounds N] [--round-delay-ms D] [--recover]"
         );
         std::process::exit(2);
     }

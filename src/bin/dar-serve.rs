@@ -8,25 +8,17 @@
 //! (must bounce at admission). The human-readable report lands in
 //! `results/serve_bench.txt`.
 //!
-//! **Saturation mode** (`--saturate`): sweeps the replica count over
-//! 1/2/4/8 against a light multi-tenant workload (16 tenants, hashed
-//! onto shards) and writes the flat `results/BENCH_serve.json` the bench
-//! regression gate consumes — headline aggregate throughput at the
-//! runtime's default 4-replica width (recorded as `workers`), plus
-//! per-width `rps_wN` / `p99_wN` series and steal counts.
-//! EXPERIMENTS.md explains how to read the sweep.
-//!
 //! **Health mode** (`--health-bench`): wedges one replica with a sticky
 //! livelock at 1/2/4 replicas and measures the self-healing layer
 //! (DESIGN.md §16): stall-detection latency (stall onset → quarantine)
 //! and hedge overhead (extra end-to-end latency a hedged victim pays
-//! over a clean request), written to the flat
-//! `results/BENCH_health.json` the bench regression gate consumes.
+//! over a clean request), recorded in `results/BENCH_health.json`. It
+//! exits non-zero when either passes 115% of the time the bench's own
+//! `HealthPolicy` and wedge deadline set.
 //!
 //! ```sh
 //! dar-serve                          # demo: 400 requests, auto replicas
 //! dar-serve --requests 1000 --replicas 2 --seed 7 --out results
-//! dar-serve --saturate --requests 1024 --out results
 //! dar-serve --health-bench --out results
 //! ```
 
@@ -45,8 +37,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: dar-serve [--saturate | --health-bench] [--requests N] [--replicas N] \
-             [--seed N] [--out DIR]"
+            "usage: dar-serve [--health-bench] [--requests N] [--replicas N] [--seed N] \
+             [--out DIR]"
         );
         std::process::exit(2);
     }
@@ -54,153 +46,11 @@ fn main() {
     let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
     if bool_flag(&args, "--health-bench") {
         health_bench(seed, &out_dir);
-    } else if bool_flag(&args, "--saturate") {
-        let n_requests = flag(&args, "--requests").unwrap_or(1024);
-        saturate(n_requests, seed, &out_dir);
     } else {
         let n_requests = flag(&args, "--requests").unwrap_or(400);
         let replicas = flag(&args, "--replicas").unwrap_or(0);
         demo(n_requests, replicas, seed, &out_dir);
     }
-}
-
-// ---- Saturation sweep ---------------------------------------------------
-
-/// Sweep replica widths against one shared multi-tenant trace and write
-/// the flat bench JSON. The workload is deliberately light (tiny model,
-/// short reviews, batch 128) so the sweep measures the runtime — queue
-/// handoff, routing, batching, stealing — rather than GRU math.
-fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
-    const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-    const TENANTS: u64 = 16;
-
-    let synth = SynthConfig {
-        n_train: 128,
-        n_dev: 32,
-        n_test: 64,
-        filler_sentences: 0,
-        filler_in_sentence: (0, 1),
-        sentiment_tokens: 1,
-        ..SynthConfig::beer(Aspect::Aroma)
-    };
-    let data = SynBeer::generate(&synth, &mut dar::rng(seed));
-    let cfg = RationaleConfig {
-        emb_dim: 8,
-        hidden: 8,
-        sparsity: 0.16,
-        ..Default::default()
-    };
-    let ml = pretrain::max_len(&data);
-    let vocab = data.vocab.len();
-    let reviews: Vec<Review> = (0..n_requests)
-        .map(|i| data.test[i % data.test.len()].clone())
-        .collect();
-
-    let mut rps = Vec::new();
-    let mut latency_us = Vec::new(); // (p50, p99, max) per width
-    let mut steals = Vec::new();
-    let mut total_panics = 0u64;
-    let mut all_ok = true;
-    // Best-of-3 per width: each repetition is a fresh server over the
-    // same trace, and the best repetition is the capacity figure — the
-    // others measure scheduler luck, not the runtime. Correctness (every
-    // request ok, zero panics) is demanded of every repetition, not just
-    // the best one.
-    const REPS: usize = 3;
-    for width in WIDTHS {
-        let mut best: Option<(f64, [u64; 3], u64, u64)> = None;
-        for _rep in 0..REPS {
-            let factory: dar::serve::ModelFactory = Arc::new(move || {
-                let mut rng = dar::rng(seed + 1);
-                let emb = SharedEmbedding::random(vocab, cfg.emb_dim, &mut rng);
-                Box::new(Rnp::new(&cfg, &emb, ml, &mut rng))
-            });
-            let server = Server::start(
-                ServeConfig {
-                    replicas: width,
-                    queue_cap: n_requests + 16,
-                    max_batch: 128,
-                    vocab_size: vocab,
-                    max_len: ml,
-                    ..ServeConfig::default()
-                },
-                factory,
-            );
-            // Submit the whole trace up front, tenants round-robin, so
-            // every shard holds a backlog and the steal path is actually
-            // exercised.
-            let started = Instant::now();
-            let tickets: Vec<_> = reviews
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    server.submit_for_tenant(r.clone(), i as u64 % TENANTS, Duration::from_secs(60))
-                })
-                .collect();
-            let ok = tickets
-                .into_iter()
-                .map(|t| t.wait())
-                .filter(|r| r.is_ok())
-                .count();
-            let elapsed = started.elapsed();
-            let stats = server.shutdown();
-            let rep_rps = ok as f64 / elapsed.as_secs_f64();
-            all_ok &= ok == n_requests;
-            total_panics += stats.panics;
-            if best.is_none_or(|(b, _, _, _)| rep_rps > b) {
-                let latency = [stats.p50_us, stats.p99_us, stats.max_us];
-                best = Some((rep_rps, latency, stats.steals, stats.stolen_requests));
-            }
-        }
-        let (width_rps, width_latency, width_steals, width_stolen) =
-            best.expect("at least one repetition ran");
-        eprintln!(
-            "[dar-serve] width {width}: {n_requests} requests ×{REPS}, best {width_rps:.1} rps, \
-             p99 {} us, {width_steals} steals ({width_stolen} requests)",
-            width_latency[1]
-        );
-        rps.push(width_rps);
-        latency_us.push(width_latency);
-        steals.push(width_steals);
-    }
-
-    std::fs::create_dir_all(out_dir).expect("creating output dir");
-    // Flat JSON only — benchgate's parser has no nesting. The headline
-    // point is the 4-replica row: the runtime's own default replica
-    // clamp (`effective_replicas`), so the gate tracks the production
-    // configuration run-over-run rather than whichever width happened
-    // to peak under scheduler noise. `workers` records that width so
-    // the gate never compares this sweep against a baseline taken at
-    // a different scale. The other widths ride along as columns.
-    const HEADLINE_WIDTH: usize = 4;
-    let hl = WIDTHS
-        .iter()
-        .position(|&w| w == HEADLINE_WIDTH)
-        .expect("headline width is part of the sweep");
-    let [p50_us, p99_us, max_us] = latency_us[hl];
-    let mut json = format!(
-        "{{\"schema_version\": 1, \"requests\": {n_requests}, \"workers\": {}, \"seed\": {seed}, \
-          \"throughput_rps\": {:.2}, \"p50_us\": {p50_us}, \"p99_us\": {p99_us}, \
-          \"max_us\": {max_us}, \"panics\": {total_panics}, \"steals\": {}",
-        WIDTHS[hl], rps[hl], steals[hl],
-    );
-    for (i, width) in WIDTHS.iter().enumerate() {
-        json += &format!(
-            ", \"rps_w{width}\": {:.2}, \"p99_w{width}\": {}",
-            rps[i], latency_us[i][1]
-        );
-    }
-    json += "}\n";
-    std::fs::write(out_dir.join("BENCH_serve.json"), json).expect("writing BENCH_serve.json");
-    eprintln!(
-        "[dar-serve] saturation sweep written: {}",
-        out_dir.join("BENCH_serve.json").display()
-    );
-    if !all_ok || total_panics > 0 {
-        eprintln!("[dar-serve] UNHEALTHY sweep — see per-width lines above");
-        std::process::exit(1);
-    }
-    eprintln!("[dar-serve] ok");
 }
 
 // ---- Self-healing bench -------------------------------------------------
@@ -213,11 +63,21 @@ fn saturate(n_requests: usize, seed: u64, out_dir: &std::path::Path) {
 /// scheduler luck; correctness is demanded of every repetition. The
 /// headline columns are the 2-replica width (the smallest that can
 /// hedge); other widths ride along as `_wN` columns.
+///
+/// Both timings are gated against the instant the policy lets the
+/// watchdog condemn the wedge, `max(stall_budget, wedge deadline +
+/// deadline_grace)` after onset: detection may not pass `SLACK_PCT`% of
+/// that instant, and hedge overhead may not pass `SLACK_PCT`% of what is
+/// left of it once the victims are submitted.
 fn health_bench(seed: u64, out_dir: &std::path::Path) {
     const WIDTHS: [usize; 3] = [1, 2, 4];
     const HEADLINE_WIDTH: usize = 2;
     const REPS: usize = 3;
     const VICTIMS: usize = 8;
+    const WEDGE_DEADLINE: Duration = Duration::from_millis(200);
+    // Lets the wedge get claimed before the victims queue behind it.
+    const CLAIM_WAIT: Duration = Duration::from_millis(40);
+    const SLACK_PCT: u128 = 115;
 
     let synth = SynthConfig {
         n_train: 128,
@@ -245,6 +105,11 @@ fn health_bench(seed: u64, out_dir: &std::path::Path) {
         probation_probes: 1,
         hedge_min_budget: Duration::from_millis(1),
     };
+    let condemn = policy
+        .stall_budget
+        .max(WEDGE_DEADLINE + policy.deadline_grace);
+    let detection_bound_us = (condemn.as_micros() * SLACK_PCT / 100) as u64;
+    let hedge_bound_us = ((condemn - CLAIM_WAIT).as_micros() * SLACK_PCT / 100) as u64;
 
     let mut detection = Vec::new(); // per width, best-of-REPS, us
     let mut hedge = Vec::new(); // per width (>= 2), best-of-REPS, us
@@ -302,8 +167,8 @@ fn health_bench(seed: u64, out_dir: &std::path::Path) {
             let mut wedged = data.test[0].clone();
             wedged.ids[0] = spin_tok;
             let onset = Instant::now();
-            let wedge = server.submit_for_tenant(wedged, tenant, Duration::from_millis(200));
-            std::thread::sleep(Duration::from_millis(40)); // let it get claimed
+            let wedge = server.submit_for_tenant(wedged, tenant, WEDGE_DEADLINE);
+            std::thread::sleep(CLAIM_WAIT);
             let victim_started = Instant::now();
             let victims: Vec<_> = (0..VICTIMS)
                 .map(|i| {
@@ -347,22 +212,29 @@ fn health_bench(seed: u64, out_dir: &std::path::Path) {
             }
         }
         eprintln!(
-            "[dar-serve] width {width}: detection {best_det} us{}",
+            "[dar-serve] width {width}: detection {best_det} us (bound {detection_bound_us}){}",
             if width >= 2 {
-                format!(", hedge overhead {best_hedge} us")
+                format!(", hedge overhead {best_hedge} us (bound {hedge_bound_us})")
             } else {
                 String::new()
             }
         );
+        if best_det > detection_bound_us {
+            eprintln!("[dar-serve] width {width}: detection past its bound");
+            healthy = false;
+        }
         detection.push(best_det);
         if width >= 2 {
+            if best_hedge > hedge_bound_us {
+                eprintln!("[dar-serve] width {width}: hedge overhead past its bound");
+                healthy = false;
+            }
             hedge.push(best_hedge);
         }
     }
 
     std::fs::create_dir_all(out_dir).expect("creating output dir");
-    // Flat JSON only — benchgate's parser has no nesting. Headline
-    // columns are the 2-replica width; `workers` pins the scale context.
+    // Headline columns are the 2-replica width, recorded as `workers`.
     let hl = WIDTHS
         .iter()
         .position(|&w| w == HEADLINE_WIDTH)

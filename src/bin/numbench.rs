@@ -1,11 +1,12 @@
 //! `numbench --kernels` — benchmark of the pluggable kernel backends
 //! (DESIGN.md §17): per-kernel best-of-3 throughput for gemm / bmm /
 //! gru_bptt / softmax / layer_norm under `ReferenceKernel` vs
-//! `BlockedKernel`, plus end-to-end training examples/s on both, written
-//! to `results/BENCH_kernels.json` (flat, benchgate-compatible, keyed on
-//! `simd_level` so scalar machines never gate against AVX2 baselines).
-//! On SIMD-capable machines it hard-fails below the design floors:
-//! blocked ≥ 2× reference on gemm and gru_bptt, ≥ 1.3× end to end.
+//! `BlockedKernel`, plus end-to-end training examples/s on both, recorded
+//! in `results/BENCH_kernels.json`. On SIMD-capable machines it hard-fails
+//! when a blocked/reference ratio from this run falls below its floor:
+//! 2× on gemm, gru_bptt and softmax, 1.4× on bmm, 1.3× on layer_norm and
+//! end to end. Both sides of each ratio run in the same process,
+//! moments apart, so the machine's drift between runs cancels out.
 //!
 //! ```sh
 //! numbench --kernels --out results
@@ -224,22 +225,23 @@ fn kernels_main(out_dir: &std::path::Path) {
     );
     std::fs::write(out_dir.join("BENCH_kernels.json"), json).expect("writing BENCH_kernels.json");
 
-    // Design floors (ROADMAP item 1) only bind where SIMD is available:
-    // a scalar-only box cannot promise 2x, and its baseline is keyed
-    // apart by simd_level anyway.
+    // The floors only bind where SIMD is available: a scalar-only box
+    // cannot promise them.
     if level >= 2 {
+        let floors = [
+            ("gemm", gemm_speedup, 2.0),
+            ("bmm", bmm_speedup, 1.4),
+            ("gru_bptt", gru_speedup, 2.0),
+            ("softmax", sm_speedup, 2.0),
+            ("layer_norm", ln_speedup, 1.3),
+            ("e2e", e2e_speedup, 1.3),
+        ];
         let mut fail = false;
-        if gemm_speedup < 2.0 {
-            eprintln!("[numbench] FAIL: gemm speedup {gemm_speedup:.2} < 2.0 floor");
-            fail = true;
-        }
-        if gru_speedup < 2.0 {
-            eprintln!("[numbench] FAIL: gru_bptt speedup {gru_speedup:.2} < 2.0 floor");
-            fail = true;
-        }
-        if e2e_speedup < 1.3 {
-            eprintln!("[numbench] FAIL: e2e speedup {e2e_speedup:.2} < 1.3 floor");
-            fail = true;
+        for (name, speedup, floor) in floors {
+            if speedup < floor {
+                eprintln!("[numbench] FAIL: {name} speedup {speedup:.2} < {floor:.1} floor");
+                fail = true;
+            }
         }
         if fail {
             std::process::exit(1);

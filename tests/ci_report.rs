@@ -9,9 +9,8 @@
 //! exposes a deliberately failing fake stage that runs no cargo
 //! commands — so the tests cannot recurse into the build.
 //!
-//! The in-repo `dar_obs::json::parse_flat` only accepts flat
-//! string→number maps; the report is nested, so validation here is a
-//! tiny hand-rolled JSON walker instead.
+//! The workspace has no JSON parser, so validation here is a tiny
+//! hand-rolled JSON walker.
 
 use std::path::PathBuf;
 use std::process::Command;

@@ -60,7 +60,9 @@ fn open_policy() -> GuardPolicy {
 /// trace at 1, 2, 4, and 8 replicas. Every width serves every request,
 /// and no width loses more than ~2/3 of single-replica throughput to
 /// scale-out overhead — the floor is deliberately loose because this
-/// suite runs on anything from 1 core up, under any `DAR_THREADS`.
+/// suite runs on anything from 1 core up, under any `DAR_THREADS`. Each
+/// width's rps is printed (`-- --nocapture`) as the replica-scaling
+/// measurement.
 #[test]
 fn saturation_sweep_serves_everything_at_every_width() {
     let _g = suite_lock();
@@ -102,6 +104,7 @@ fn saturation_sweep_serves_everything_at_every_width() {
         rps.push(ok as f64 / elapsed.as_secs_f64());
     }
     for (i, width) in [1usize, 2, 4, 8].iter().enumerate() {
+        println!("saturation sweep: width {width}: {:.1} rps", rps[i]);
         assert!(
             rps[i] >= rps[0] * 0.35,
             "width {width} collapsed: {:.1} rps vs {:.1} at 1 replica ({rps:?})",
