@@ -134,12 +134,12 @@ st_kernel_deny() {
     return $bad
 }
 
-# Per-kernel throughput: best-of-3 gemm/bmm/gru_bptt/softmax/layer_norm
-# reference vs blocked plus end-to-end examples/s, recorded in
-# results/BENCH_kernels.json. On SIMD-capable machines the binary exits
-# non-zero when a blocked/reference ratio from the run falls below its
-# floor (2x on gemm, gru_bptt and softmax, 1.4x on bmm, 1.3x on layer_norm
-# and end to end).
+# Per-kernel throughput: gemm/bmm/gru_bptt/softmax/layer_norm reference vs
+# blocked plus end-to-end examples/s, in paired rounds that interleave the
+# two backends, recorded in results/BENCH_kernels.json. On SIMD-capable
+# machines the binary exits non-zero when the median per-round
+# blocked/reference ratio falls below its floor (2x on gemm, gru_bptt and
+# softmax, 1.4x on bmm, 1.3x on layer_norm and end to end).
 st_kernel_bench() { cargo run --release --bin numbench -- --kernels --out results; }
 
 # Observability overhead benchmark: instrumentation disabled vs enabled on

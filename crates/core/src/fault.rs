@@ -229,12 +229,6 @@ pub struct StallPlan {
     pub sticky: bool,
 }
 
-impl StallPlan {
-    pub fn is_armed(&self) -> bool {
-        self.sleep_token.is_some() || self.spin_token.is_some()
-    }
-}
-
 impl ChaosPlan {
     fn batch_has(batch: &dar_data::Batch, token: usize) -> bool {
         batch.ids.iter().flatten().any(|&t| t == token)
@@ -374,23 +368,6 @@ pub fn corrupt_truncate(path: impl AsRef<Path>, seed: u64) -> DarResult<u64> {
     let file = std::fs::OpenOptions::new().write(true).open(path)?;
     file.set_len(keep)?;
     Ok(keep)
-}
-
-/// Append seeded garbage bytes (a torn half-frame) to a file — what a
-/// crash mid-append leaves at the tail of a write-ahead log. Returns how
-/// many bytes were appended. WAL replay must absorb exactly this damage
-/// by truncating at the first bad frame.
-pub fn corrupt_torn_tail(path: impl AsRef<Path>, seed: u64) -> DarResult<u64> {
-    let mut rng = dar_tensor::rng(seed);
-    let n = rng.gen_range(1usize..24);
-    let garbage: Vec<u8> = (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect();
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(path.as_ref())?;
-    f.write_all(&garbage)?;
-    f.sync_all()?;
-    Ok(n as u64)
 }
 
 /// Flip one seeded random bit in the file — a disk/transfer error. Returns

@@ -1,30 +1,30 @@
-//! Divergence guards: a training runtime that survives non-finite losses,
-//! loss spikes, and rationale collapse instead of silently producing a
-//! broken model.
+//! Divergence guards: checks that let a training run survive non-finite
+//! losses, loss spikes and rationale collapse instead of silently
+//! producing a broken model.
 //!
-//! [`GuardedTrainer`] trains like [`crate::Trainer`] — its own epoch loop
-//! over the same run state — but watches every batch loss and every
-//! epoch's dev metrics. When a guard trips it rolls the model — weights,
-//! optimizer moments, RNG stream, and early-stopping state — back to the
-//! last good epoch-boundary checkpoint through the same load
-//! [`crate::Trainer::fit_resume`] uses, decays the learning rate, and
-//! retries, up to a bounded number of times.
-//! Every decision is recorded as a structured [`TrainEvent`] so a failed
-//! run explains itself rather than panicking.
+//! A [`GuardPolicy`] on a [`crate::Trainer`] arms them in the trainer's
+//! one epoch loop. The loop's [`Guard`] watches every batch loss and
+//! every epoch's dev metrics. When a check trips, the guard puts the
+//! model — weights, optimizer moments, RNG stream and early-stopping
+//! state — back to the [`RestorePoint`] it took in memory at the last
+//! clean epoch boundary, decays the learning rate, and retries, up to a
+//! bounded number of times. A rollback reads no file. Every decision is
+//! recorded as a structured [`TrainEvent`] so a failed run explains
+//! itself rather than panicking. The online trainer ([`crate::stream`])
+//! rolls a diverged round back through the same [`RestorePoint`] and the
+//! same non-finite checks.
 
 use std::collections::VecDeque;
-use std::path::Path;
 
-use dar_data::{AspectDataset, BatchIter};
-use dar_tensor::{DarError, DarResult};
+use dar_tensor::optim::AdamState;
+use dar_tensor::{DarError, DarResult, Tensor};
 
-use crate::config::TrainConfig;
-use crate::eval::evaluate_model;
+use crate::eval::RationaleMetrics;
 use crate::models::RationaleModel;
-use crate::trainer::{dev_score, RunState, TrainReport};
+use crate::trainer::RunState;
 use crate::Rng;
 
-/// Thresholds and retry budget for [`GuardedTrainer`].
+/// Thresholds and retry budget for a guarded [`crate::Trainer`].
 #[derive(Debug, Clone, Copy)]
 pub struct GuardPolicy {
     /// Rollback-and-retry attempts before giving up.
@@ -133,284 +133,212 @@ impl std::fmt::Display for GuardReason {
     }
 }
 
-/// Structured log of a guarded run — the answer to "what did training do".
+/// A guard's trips and rollbacks, in order — the answer to "what did
+/// training do" beyond the epoch history.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainEvent {
-    /// An epoch finished clean and was checkpointed.
-    EpochDone {
-        epoch: usize,
-        train_loss: f32,
-        dev_score: f32,
-    },
     /// A guard tripped mid-epoch or at the epoch boundary.
     GuardTripped { epoch: usize, reason: GuardReason },
-    /// The run rolled back to the last good checkpoint and decayed LR.
+    /// The run rolled back to the last clean epoch boundary and decayed LR.
     RolledBack {
         to_epoch: usize,
         retry: usize,
         lr_scale: f32,
     },
-    /// The retry budget ran out.
-    RetriesExhausted { epoch: usize },
 }
 
-/// A [`TrainReport`] plus the guard event log.
-#[derive(Debug, Clone)]
-pub struct GuardedReport {
-    pub report: TrainReport,
-    pub events: Vec<TrainEvent>,
-    /// Rollbacks performed over the whole run.
-    pub rollbacks: usize,
+/// Mean and σ of the losses in a spike window.
+fn mean_sigma(window: &VecDeque<f32>) -> (f32, f32) {
+    let n = window.len().max(1) as f64;
+    let mean = window.iter().map(|&x| x as f64).sum::<f64>() / n;
+    let var = window
+        .iter()
+        .map(|&x| (x as f64 - mean).powi(2))
+        .sum::<f64>()
+        / n;
+    (mean as f32, var.sqrt() as f32)
 }
 
-/// Rolling mean/σ window over recent batch losses.
-struct LossWindow {
-    buf: VecDeque<f32>,
-    cap: usize,
+/// What a rollback puts back, held in memory: the weights, every
+/// optimizer's state (Adam moments, step count, learning rate), the RNG
+/// stream position and the caller's own state `S` (the trainer's
+/// [`RunState`]; the online trainer keeps none).
+pub(crate) struct RestorePoint<S = ()> {
+    weights: Vec<Vec<f32>>,
+    optim: Vec<AdamState>,
+    rng: Rng,
+    state: S,
 }
 
-impl LossWindow {
-    fn new(cap: usize) -> Self {
-        LossWindow {
-            buf: VecDeque::with_capacity(cap),
-            cap: cap.max(2),
+impl<S: Clone> RestorePoint<S> {
+    pub(crate) fn take(model: &dyn RationaleModel, rng: &Rng, state: S) -> Self {
+        RestorePoint {
+            weights: model.snapshot(),
+            optim: model.optim_states(),
+            rng: rng.clone(),
+            state,
         }
     }
 
-    fn push(&mut self, loss: f32) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+    /// Put `model` and `rng` back to this point, with every optimizer's
+    /// learning rate scaled by `lr_scale` (1 restores it exactly), and
+    /// return a copy of the state taken with it.
+    pub(crate) fn restore(
+        &self,
+        model: &mut dyn RationaleModel,
+        rng: &mut Rng,
+        lr_scale: f32,
+    ) -> DarResult<S> {
+        model.restore(&self.weights);
+        let mut optim = self.optim.clone();
+        for s in &mut optim {
+            s.lr *= lr_scale;
         }
-        self.buf.push_back(loss);
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn mean_sigma(&self) -> (f32, f32) {
-        let n = self.buf.len().max(1) as f64;
-        let mean = self.buf.iter().map(|&x| x as f64).sum::<f64>() / n;
-        let var = self
-            .buf
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        (mean as f32, var.sqrt() as f32)
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
+        model.restore_optim(&optim)?;
+        *rng = self.rng.clone();
+        Ok(self.state.clone())
     }
 }
 
-/// What a guarded run tracks beyond the shared [`RunState`]: its event
-/// log, the rollback and retry counts, the pending learning-rate scale
-/// and the spike window.
-struct GuardState {
-    events: Vec<TrainEvent>,
-    rollbacks: usize,
+/// Trips on a NaN/∞ loss from train step `step`, naming the taint
+/// latch's culprit op when tracking is on (`DAR_TAINT=1`).
+pub(crate) fn check_loss(step: usize, loss: f32) -> Result<(), GuardReason> {
+    if loss.is_finite() {
+        return Ok(());
+    }
+    let origin = dar_tensor::first_taint().map(|t| t.op);
+    Err(GuardReason::NonFiniteLoss { step, origin })
+}
+
+/// Trips when a parameter holds a NaN/∞ after `epoch`, naming the culprit
+/// op like [`check_loss`].
+pub(crate) fn check_params(model: &dyn RationaleModel, epoch: usize) -> Result<(), GuardReason> {
+    let finite = |p: &Tensor| p.to_vec().iter().all(|v| v.is_finite());
+    if model.params().iter().all(finite) {
+        return Ok(());
+    }
+    let origin = dar_tensor::first_taint().map(|t| t.op);
+    Err(GuardReason::NonFiniteParams { epoch, origin })
+}
+
+/// A guarded run's watch over the trainer's epoch loop: the policy, the
+/// spike window, the retry budget and the restore point of the last
+/// clean epoch boundary.
+pub(crate) struct Guard {
+    policy: GuardPolicy,
+    /// The last `spike_window` (at least 2) clean batch losses.
+    window: VecDeque<f32>,
+    /// Rollbacks since the last clean epoch.
     retries: usize,
-    lr_scale: f32,
-    window: LossWindow,
+    point: RestorePoint<RunState>,
 }
 
-/// Fault-tolerant wrapper around the [`Trainer`](crate::Trainer) loop.
-#[derive(Debug, Clone, Copy)]
-pub struct GuardedTrainer {
-    pub cfg: TrainConfig,
-    pub policy: GuardPolicy,
-}
-
-impl GuardedTrainer {
-    pub fn new(cfg: TrainConfig, policy: GuardPolicy) -> Self {
-        GuardedTrainer { cfg, policy }
-    }
-
-    /// Train with divergence guards, checkpointing every clean epoch to
-    /// `ckpt`. Guard trips roll back to that checkpoint and retry with a
-    /// decayed learning rate; only an exhausted retry budget is an error
-    /// ([`DarError::RetriesExhausted`]). The checkpoint stays compatible
-    /// with [`crate::Trainer::fit_resume`].
-    pub fn fit(
-        &self,
-        model: &mut dyn RationaleModel,
-        data: &AspectDataset,
-        rng: &mut Rng,
-        ckpt: &Path,
-    ) -> DarResult<GuardedReport> {
-        let _train_span = dar_obs::span("train");
-        let cfg = self.cfg;
-        let mut guard = GuardState {
-            events: Vec::new(),
-            rollbacks: 0,
+impl Guard {
+    /// Arm `policy` over a run at the epoch boundary `point`, fresh or
+    /// just resumed.
+    pub(crate) fn arm(policy: GuardPolicy, point: RestorePoint<RunState>) -> Self {
+        Guard {
+            policy,
+            window: VecDeque::new(),
             retries: 0,
-            lr_scale: 1.0,
-            window: LossWindow::new(self.policy.spike_window),
-        };
-        let mut state = RunState::new(model);
-        // Seed checkpoint before the first step, so even an epoch-0
-        // divergence has a good state to roll back to.
-        state.save(model, rng, ckpt)?;
+            point,
+        }
+    }
 
-        while state.next_epoch < cfg.epochs && !state.patience_spent(cfg.patience) {
-            let epoch = state.next_epoch;
-            let verdict = self
-                .try_epoch(model, data, rng, epoch, &mut guard.window)
-                .and_then(|train_loss| {
-                    let dev_metrics = {
-                        let _eval_span = dar_obs::span("eval");
-                        evaluate_model(model, &data.dev, cfg.batch_size)
-                    };
-                    let selected = dev_metrics.sparsity;
-                    if self.policy.is_collapsed(selected) {
-                        Err(GuardReason::RationaleCollapse { epoch, selected })
-                    } else {
-                        Ok((train_loss, dev_score(&dev_metrics)))
-                    }
+    /// Check train step `step`'s loss: non-finite, then a spike beyond
+    /// the window. A clean loss joins the window.
+    pub(crate) fn check_step(&mut self, step: usize, loss: f32) -> Result<(), GuardReason> {
+        check_loss(step, loss)?;
+        if self.window.len() >= self.policy.spike_warmup {
+            let (mean, sigma) = mean_sigma(&self.window);
+            // σ floors at a fraction of the mean so a near-constant
+            // loss window doesn't turn noise into spikes.
+            let sigma = sigma.max(0.05 * mean.abs()).max(1e-6);
+            if loss > mean + self.policy.spike_sigmas * sigma {
+                return Err(GuardReason::LossSpike {
+                    step,
+                    loss,
+                    mean,
+                    sigma,
                 });
-            match verdict {
-                Ok((train_loss, score)) => {
-                    guard.events.push(TrainEvent::EpochDone {
-                        epoch,
-                        train_loss,
-                        dev_score: score,
-                    });
-                    state.record(model, train_loss, score, cfg.verbose, "|guarded");
-                    state.save(model, rng, ckpt)?;
-                    // The fresh checkpoint carries any LR decay already, so
-                    // the pending scale (applied on top of the *stored* LR
-                    // during rollback) starts over.
-                    guard.retries = 0;
-                    guard.lr_scale = 1.0;
-                }
-                Err(reason) => {
-                    state = self.rollback(model, rng, ckpt, epoch, reason, &mut guard)?
-                }
             }
         }
-
-        Ok(GuardedReport {
-            report: state.finish(model, data, cfg.batch_size),
-            events: guard.events,
-            rollbacks: guard.rollbacks,
-        })
+        if self.window.len() == self.policy.spike_window.max(2) {
+            self.window.pop_front();
+        }
+        self.window.push_back(loss);
+        Ok(())
     }
 
-    /// One epoch under per-batch guards; `Err` names the tripped guard.
-    fn try_epoch(
+    /// Check `epoch`'s dev metrics for rationale collapse.
+    pub(crate) fn check_dev(
         &self,
-        model: &mut dyn RationaleModel,
-        data: &AspectDataset,
-        rng: &mut Rng,
         epoch: usize,
-        window: &mut LossWindow,
-    ) -> Result<f32, GuardReason> {
-        let _epoch_span = dar_obs::span("epoch");
-        let policy = self.policy;
-        let taint = dar_tensor::taint_enabled();
-        let mut loss_sum = 0.0;
-        let mut n = 0usize;
-        for batch in BatchIter::shuffled(&data.train, self.cfg.batch_size, rng) {
-            if taint {
-                // Per-step latch: anything recorded now was produced by
-                // *this* step's forward/backward graph.
-                dar_tensor::clear_taint();
-            }
-            let loss = model.train_step(&batch, rng);
-            let step = n;
-            if !loss.is_finite() {
-                let origin = dar_tensor::first_taint().map(|t| t.op);
-                return Err(GuardReason::NonFiniteLoss { step, origin });
-            }
-            if window.len() >= policy.spike_warmup {
-                let (mean, sigma) = window.mean_sigma();
-                // σ floors at a fraction of the mean so a near-constant
-                // loss window doesn't turn noise into spikes.
-                let sigma = sigma.max(0.05 * mean.abs()).max(1e-6);
-                if loss > mean + policy.spike_sigmas * sigma {
-                    return Err(GuardReason::LossSpike {
-                        step,
-                        loss,
-                        mean,
-                        sigma,
-                    });
-                }
-            }
-            window.push(loss);
-            loss_sum += loss;
-            n += 1;
+        dev: &RationaleMetrics,
+    ) -> Result<(), GuardReason> {
+        let selected = dev.sparsity;
+        if !self.policy.is_collapsed(selected) {
+            return Ok(());
         }
-        let any_bad_param = model
-            .params()
-            .iter()
-            .any(|p| p.to_vec().iter().any(|v| !v.is_finite()));
-        if any_bad_param {
-            let origin = dar_tensor::first_taint().map(|t| t.op);
-            return Err(GuardReason::NonFiniteParams { epoch, origin });
-        }
-        dar_obs::add("train.steps", n as u64);
-        Ok(loss_sum / n.max(1) as f32)
+        Err(GuardReason::RationaleCollapse { epoch, selected })
     }
 
-    /// Record the tripped guard, then roll back to the last good checkpoint
-    /// with a decayed learning rate and return its run state — or fail once
-    /// the retry budget is spent.
-    fn rollback(
-        &self,
+    /// Move the restore point to the clean epoch boundary `point`. It
+    /// carries any learning-rate decay already, so the retry budget starts
+    /// over.
+    pub(crate) fn mark_clean(&mut self, point: RestorePoint<RunState>) {
+        self.point = point;
+        self.retries = 0;
+    }
+
+    /// Log the trip of `reason` in `epoch`, then roll back to the restore
+    /// point with a decayed learning rate and return its run state — or
+    /// fail once the retry budget is spent.
+    pub(crate) fn roll_back(
+        &mut self,
         model: &mut dyn RationaleModel,
         rng: &mut Rng,
-        ckpt: &Path,
         epoch: usize,
         reason: GuardReason,
-        guard: &mut GuardState,
+        events: &mut Vec<TrainEvent>,
+        verbose: bool,
     ) -> DarResult<RunState> {
-        guard.events.push(TrainEvent::GuardTripped {
-            epoch,
-            reason: reason.clone(),
-        });
         dar_obs::event(dar_obs::ObsEvent::GuardTripped {
             epoch: epoch as u64,
             reason: reason.to_string(),
         });
         dar_obs::inc("guard.trips");
-        if guard.retries >= self.policy.max_retries {
-            guard.events.push(TrainEvent::RetriesExhausted { epoch });
-            dar_obs::event(dar_obs::ObsEvent::RetriesExhausted {
-                epoch: epoch as u64,
-            });
-            return Err(DarError::RetriesExhausted {
-                retries: guard.retries,
-                last: reason.to_string(),
-            });
+        if self.retries >= self.policy.max_retries {
+            let (retries, last) = (self.retries, reason.to_string());
+            let epoch = epoch as u64;
+            dar_obs::event(dar_obs::ObsEvent::RetriesExhausted { epoch });
+            return Err(DarError::RetriesExhausted { retries, last });
         }
-        guard.retries += 1;
-        guard.rollbacks += 1;
-        guard.lr_scale *= self.policy.lr_decay;
-        // Decaying the LR carried inside the restored optimizer states
-        // makes the retried epoch take smaller steps than the diverged one.
-        let state = RunState::load(model, rng, ckpt, guard.lr_scale)?;
+        events.push(TrainEvent::GuardTripped { epoch, reason });
+        self.retries += 1;
+        // Decaying the LR carried inside the restored optimizer states,
+        // once per retry since the clean epoch, makes the retried epoch
+        // take smaller steps than the diverged one.
+        let lr_scale = (0..self.retries).fold(1.0, |s, _| s * self.policy.lr_decay);
+        let state = self.point.restore(model, rng, lr_scale)?;
         // The window is poisoned by the diverged trajectory.
-        guard.window.clear();
-        guard.events.push(TrainEvent::RolledBack {
-            to_epoch: state.next_epoch,
-            retry: guard.retries,
-            lr_scale: guard.lr_scale,
+        self.window.clear();
+        let (to_epoch, retry) = (state.next_epoch, self.retries);
+        events.push(TrainEvent::RolledBack {
+            to_epoch,
+            retry,
+            lr_scale,
         });
         dar_obs::event(dar_obs::ObsEvent::RolledBack {
-            to_epoch: state.next_epoch as u64,
-            retry: guard.retries as u64,
-            lr_scale: guard.lr_scale,
+            to_epoch: to_epoch as u64,
+            retry: retry as u64,
+            lr_scale,
         });
         dar_obs::inc("guard.rollbacks");
-        if self.cfg.verbose {
+        if verbose {
+            let name = model.name();
             println!(
-                "[{}|guarded] rollback to epoch {} (retry {}, lr×{:.3})",
-                model.name(),
-                state.next_epoch,
-                guard.retries,
-                guard.lr_scale
+                "[{name}|guarded] rollback to epoch {to_epoch} (retry {retry}, lr×{lr_scale:.3})"
             );
         }
         Ok(state)
@@ -424,12 +352,8 @@ mod tests {
     use crate::models::test_support::{tiny_config, tiny_dataset, tiny_embedding};
     use crate::models::Rnp;
     use crate::pretrain::max_len;
-
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("dar_guard_{name}_{}", std::process::id()));
-        p
-    }
+    use crate::trainer::RunState;
+    use crate::Trainer;
 
     /// Guards wide open so none can fire; the guarded loop must then be
     /// bit-identical to the plain trainer.
@@ -456,31 +380,24 @@ mod tests {
 
         let mut rng = dar_tensor::rng(162);
         let mut model = Rnp::new(&cfg, &emb, max_len(&data), &mut rng);
-        let plain = crate::Trainer::new(tcfg).fit(&mut model, &data, &mut rng);
+        let plain = Trainer::new(tcfg).fit(&mut model, &data, &mut rng);
 
-        let path = tmpfile("clean");
         let mut rng = dar_tensor::rng(162);
         let mut model = Rnp::new(&cfg, &emb, max_len(&data), &mut rng);
-        let guarded = GuardedTrainer::new(tcfg, open_policy())
-            .fit(&mut model, &data, &mut rng, &path)
+        let guarded = Trainer::guarded(tcfg, open_policy())
+            .try_fit(&mut model, &data, &mut rng)
             .unwrap();
 
         assert_eq!(
-            guarded.rollbacks, 0,
+            guarded.rollbacks(),
+            0,
             "unexpected guard trips: {:?}",
             guarded.events
         );
-        assert_eq!(guarded.report.test.f1, plain.test.f1);
-        assert_eq!(guarded.report.test.acc, plain.test.acc);
-        assert_eq!(
-            guarded
-                .events
-                .iter()
-                .filter(|e| matches!(e, TrainEvent::EpochDone { .. }))
-                .count(),
-            3
-        );
-        std::fs::remove_file(path).ok();
+        assert_eq!(guarded.test.f1, plain.test.f1);
+        assert_eq!(guarded.test.acc, plain.test.acc);
+        assert_eq!(guarded.epochs_run, 3);
+        assert!(guarded.events.is_empty() && plain.events.is_empty());
     }
 
     /// The collapse guard catches a transiently degenerate selector and
@@ -497,14 +414,13 @@ mod tests {
             patience: None,
             ..Default::default()
         };
-        let path = tmpfile("collapse");
         let mut rng = dar_tensor::rng(162);
         let mut model = Rnp::new(&cfg, &emb, max_len(&data), &mut rng);
-        let guarded = GuardedTrainer::new(tcfg, GuardPolicy::default())
-            .fit(&mut model, &data, &mut rng, &path)
+        let guarded = Trainer::guarded(tcfg, GuardPolicy::default())
+            .try_fit(&mut model, &data, &mut rng)
             .unwrap();
         assert!(
-            guarded.rollbacks >= 1,
+            guarded.rollbacks() >= 1,
             "expected a collapse trip: {:?}",
             guarded.events
         );
@@ -515,22 +431,41 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(guarded.report.epochs_run, 3, "run must still complete");
-        assert!(guarded.report.test.f1.is_finite());
-        std::fs::remove_file(path).ok();
+        assert_eq!(guarded.epochs_run, 3, "run must still complete");
+        assert!(guarded.test.f1.is_finite());
     }
 
+    /// The spike guard arms once its window holds `spike_warmup` losses,
+    /// keeps only the last `spike_window` of them, and trips on a loss
+    /// far outside them.
     #[test]
-    fn loss_window_statistics() {
-        let mut w = LossWindow::new(4);
-        for v in [1.0, 1.0, 1.0, 1.0, 5.0] {
-            w.push(v);
+    fn spike_guard_arms_after_warmup_and_forgets_old_losses() {
+        let data = tiny_dataset(170);
+        let emb = tiny_embedding(&data, 171);
+        let mut rng = dar_tensor::rng(172);
+        let model = Rnp::new(&tiny_config(), &emb, max_len(&data), &mut rng);
+        let policy = GuardPolicy {
+            spike_window: 3,
+            spike_warmup: 3,
+            ..GuardPolicy::default()
+        };
+        let point = RestorePoint::take(&model, &rng, RunState::new(&model));
+        let mut guard = Guard::arm(policy, point);
+        // Before the warm-up even an outlier is just another loss.
+        for (step, loss) in [100.0, 1.0, 1.0, 1.0].into_iter().enumerate() {
+            assert_eq!(guard.check_step(step, loss), Ok(()), "step {step}");
         }
-        assert_eq!(w.len(), 4); // oldest evicted
-        let (mean, sigma) = w.mean_sigma();
+        // The window has forgotten the 100, so 2.0 is far outside it.
+        assert!(matches!(
+            guard.check_step(4, 2.0),
+            Err(GuardReason::LossSpike { step: 4, .. })
+        ));
+        assert!(matches!(
+            guard.check_step(5, f32::NAN),
+            Err(GuardReason::NonFiniteLoss { step: 5, .. })
+        ));
+        let (mean, sigma) = mean_sigma(&VecDeque::from([1.0, 1.0, 1.0, 5.0]));
         assert!((mean - 2.0).abs() < 1e-6);
         assert!(sigma > 1.0);
-        w.clear();
-        assert_eq!(w.len(), 0);
     }
 }

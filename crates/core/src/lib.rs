@@ -54,7 +54,7 @@ pub use config::{EncoderKind, RationaleConfig, TrainConfig};
 pub use embedder::SharedEmbedding;
 pub use eval::{class_metrics, evaluate_model, ClassMetrics, RationaleMetrics};
 pub use generator::Generator;
-pub use guard::{GuardPolicy, GuardedReport, GuardedTrainer, TrainEvent};
+pub use guard::{GuardPolicy, TrainEvent};
 pub use models::{Inference, ModelFactory, RationaleModel};
 pub use predictor::Predictor;
 pub use stream::{
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::eval::{class_metrics, evaluate_model, RationaleMetrics};
     pub use crate::fault::{ChaosModel, ChaosPlan, FaultPlan, FaultyModel, StallPlan};
     pub use crate::generator::Generator;
-    pub use crate::guard::{GuardPolicy, GuardReason, GuardedReport, GuardedTrainer, TrainEvent};
+    pub use crate::guard::{GuardPolicy, GuardReason, TrainEvent};
     pub use crate::models::{
         A2r, Car, Dar, Dmr, Inference, InterRat, RationaleModel, Rnp, ThreePlayer, Vib,
     };

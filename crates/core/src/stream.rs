@@ -11,13 +11,14 @@
 //! the trainer filters them through the same typed admission check the
 //! server uses ([`dar_data::Review::admissible`]).
 //!
-//! The trainer is *guarded* in the `GuardedTrainer` sense but scoped to
-//! a round: parameters and optimizer states are snapshotted before each
-//! round, and a round that produces a non-finite loss or non-finite
-//! parameters is rolled back and reported as `Skipped` — a poisoned round
-//! can never become a candidate checkpoint, nor steer later rounds
-//! through its Adam moments, and the serving side additionally re-validates
-//! (CRC/shape) and canaries whatever it is offered. Trainer panics are
+//! The trainer is guarded like a guarded [`crate::Trainer`] run, but
+//! scoped to a round: it takes a [`RestorePoint`] before each round and
+//! runs the guard's non-finite checks, and a round that produces a
+//! non-finite loss or non-finite parameters is rolled back to that point
+//! and reported as `Skipped` — a poisoned round can never become a
+//! candidate checkpoint, nor steer later rounds through its Adam moments,
+//! and the serving side additionally re-validates (CRC/shape) and
+//! canaries whatever it is offered. Trainer panics are
 //! caught at the thread boundary and surfaced as a `TrainerDied`
 //! message: the background loop dying must never take serving with it.
 
@@ -28,11 +29,11 @@ use std::thread::JoinHandle;
 
 use dar_data::{BatchIter, Review, SynBeer, SynthConfig};
 use dar_obs::ObsEvent;
-use dar_tensor::optim::AdamState;
 use dar_tensor::serial::{self, Checkpoint};
 use dar_tensor::Rng;
 
 use crate::fault::malformed_review;
+use crate::guard::{check_loss, check_params, GuardReason, RestorePoint};
 use crate::models::{ModelFactory, RationaleModel};
 
 /// Knobs for [`ReviewFeed`].
@@ -230,27 +231,25 @@ impl OnlineTrainer {
 
         // Round-scoped guard: any divergence rolls back to here — weights
         // and optimizer states — and the round yields no candidate.
-        let snap = self.model.snapshot();
-        let optim = self.model.optim_states();
+        let mut rng = self.round_rng(round);
+        let point = RestorePoint::take(self.model.as_ref(), &rng, ());
         if self.cfg.panic_at_round == Some(round) {
             panic!("online trainer chaos panic (round {round})");
         }
-        let mut rng = self.round_rng(round);
-        for _ in 0..self.cfg.epochs_per_round.max(1) {
-            for batch in BatchIter::shuffled(&clean, self.cfg.batch_size, &mut rng) {
-                let loss = self.model.train_step(&batch, &mut rng);
-                if !loss.is_finite() {
-                    return self.skip_round(round, &snap, &optim, "non-finite loss");
-                }
-            }
-        }
-        let poisoned_params = self
-            .model
-            .params()
-            .iter()
-            .any(|p| p.to_vec().iter().any(|v| !v.is_finite()));
-        if poisoned_params {
-            return self.skip_round(round, &snap, &optim, "non-finite params");
+        if let Err(reason) = self.train_on(&clean, round, &mut rng) {
+            // A failed optimizer restore skips the round with its own cause.
+            let what = match reason {
+                GuardReason::NonFiniteLoss { .. } => "non-finite loss",
+                _ => "non-finite params",
+            };
+            let cause = match point.restore(self.model.as_mut(), &mut rng, 1.0) {
+                Ok(()) => what.replace(['-', ' '], "_"),
+                Err(e) => format!("optim_restore: {e}"),
+            };
+            let reason = format!("online: {what}");
+            let epoch = round as u64;
+            dar_obs::event(ObsEvent::GuardTripped { epoch, reason });
+            return CandidateMsg::Skipped { round, cause };
         }
 
         let path = self
@@ -275,27 +274,21 @@ impl OnlineTrainer {
         }
     }
 
-    /// Roll a round that diverged (`what`, e.g. "non-finite loss") back
-    /// to its pre-round weights and optimizer states and skip it. A failed
-    /// optimizer restore skips the round with its own cause.
-    fn skip_round(
+    /// Train `epochs_per_round` passes over `reviews` under the guard's
+    /// non-finite checks; `Err` names the check that tripped.
+    fn train_on(
         &mut self,
+        reviews: &[Review],
         round: usize,
-        snap: &[Vec<f32>],
-        optim: &[AdamState],
-        what: &str,
-    ) -> CandidateMsg {
-        self.model.restore(snap);
-        let restored = self.model.restore_optim(optim);
-        dar_obs::event(ObsEvent::GuardTripped {
-            epoch: round as u64,
-            reason: format!("online: {what}"),
-        });
-        let cause = match restored {
-            Ok(()) => what.replace(['-', ' '], "_"),
-            Err(e) => format!("optim_restore: {e}"),
-        };
-        CandidateMsg::Skipped { round, cause }
+        rng: &mut Rng,
+    ) -> Result<(), GuardReason> {
+        for _ in 0..self.cfg.epochs_per_round.max(1) {
+            for (step, batch) in BatchIter::shuffled(reviews, self.cfg.batch_size, rng).enumerate()
+            {
+                check_loss(step, self.model.train_step(&batch, rng))?;
+            }
+        }
+        check_params(self.model.as_ref(), round)
     }
 }
 

@@ -2,9 +2,10 @@
 //! stopping with best-weight restoration (paper App. B), and final test
 //! evaluation.
 //!
-//! The bookkeeping lives in one [`RunState`], shared with
-//! [`crate::GuardedTrainer`]'s loop: recording a clean epoch, saving and
-//! loading the epoch-boundary checkpoint, and finishing the run.
+//! Every run — plain, checkpointed, resumed or guarded — goes through
+//! [`Trainer`]'s one epoch loop, and its bookkeeping lives in one
+//! [`RunState`]: recording a clean epoch, saving and loading the
+//! epoch-boundary checkpoint, and finishing the run.
 //!
 //! # Fault tolerance
 //!
@@ -26,6 +27,7 @@ use dar_tensor::{DarError, DarResult};
 
 use crate::config::TrainConfig;
 use crate::eval::{evaluate_model, RationaleMetrics};
+use crate::guard::{check_params, Guard, GuardPolicy, GuardReason, RestorePoint, TrainEvent};
 use crate::models::RationaleModel;
 use crate::Rng;
 
@@ -50,34 +52,67 @@ pub struct TrainReport {
     pub test: RationaleMetrics,
     /// Dev metrics at the best epoch.
     pub dev: RationaleMetrics,
+    /// A guarded run's trips and rollbacks in order (a resumed run's
+    /// from its resume on); empty for an unguarded run.
+    pub events: Vec<TrainEvent>,
+}
+
+impl TrainReport {
+    /// Guard rollbacks performed over the run.
+    pub fn rollbacks(&self) -> usize {
+        self.events
+            .iter()
+            .filter(|e| matches!(e, TrainEvent::RolledBack { .. }))
+            .count()
+    }
 }
 
 /// Trains any [`RationaleModel`] on an [`AspectDataset`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Trainer {
     pub cfg: TrainConfig,
+    /// The divergence guards' policy; `None` trains unguarded.
+    pub guard: Option<GuardPolicy>,
 }
 
 impl Trainer {
     pub fn new(cfg: TrainConfig) -> Self {
-        Trainer { cfg }
+        Trainer { cfg, guard: None }
+    }
+
+    /// A trainer whose runs go under the divergence guards of `policy`.
+    pub fn guarded(cfg: TrainConfig, policy: GuardPolicy) -> Self {
+        let guard = Some(policy);
+        Trainer { cfg, guard }
     }
 
     /// Run the full loop and return the report. The model is left holding
-    /// its best-dev weights.
+    /// its best-dev weights. Only a guarded run can fail, and it reports
+    /// that through [`Self::try_fit`]; here it panics.
     pub fn fit(
         &self,
         model: &mut dyn RationaleModel,
         data: &AspectDataset,
         rng: &mut Rng,
     ) -> TrainReport {
-        let state = RunState::new(model);
-        self.run(model, data, rng, None, state)
-            .expect("training without a checkpoint path performs no I/O")
+        self.try_fit(model, data, rng)
+            .expect("a guarded run reports exhausted retries through try_fit")
     }
 
-    /// [`Self::fit`], writing a durable checkpoint to `ckpt` after every
-    /// epoch. A run killed at any point can be continued with
+    /// [`Self::fit`], returning a guarded run's exhausted retry budget as
+    /// [`DarError::RetriesExhausted`].
+    pub fn try_fit(
+        &self,
+        model: &mut dyn RationaleModel,
+        data: &AspectDataset,
+        rng: &mut Rng,
+    ) -> DarResult<TrainReport> {
+        let state = RunState::new(model);
+        self.run(model, data, rng, None, state)
+    }
+
+    /// [`Self::try_fit`], writing a durable checkpoint to `ckpt` after
+    /// every clean epoch. A run killed at any point can be continued with
     /// [`Self::fit_resume`] on the same path.
     pub fn fit_checkpointed(
         &self,
@@ -94,7 +129,8 @@ impl Trainer {
     /// checkpoint. `model` must be constructed identically to the original
     /// (same config/shapes); its weights, optimizer moments, RNG stream,
     /// and early-stopping state are all overwritten from the file, after
-    /// which the final report is identical to an uninterrupted run.
+    /// which the final report is identical to an uninterrupted run. A
+    /// guarded trainer resumes under its guard.
     pub fn fit_resume(
         &self,
         model: &mut dyn RationaleModel,
@@ -102,7 +138,7 @@ impl Trainer {
         rng: &mut Rng,
         ckpt: &Path,
     ) -> DarResult<TrainReport> {
-        let state = RunState::load(model, rng, ckpt, 1.0)?;
+        let state = RunState::load(model, rng, ckpt)?;
         dar_obs::event(dar_obs::ObsEvent::CheckpointResumed {
             next_epoch: state.next_epoch as u64,
         });
@@ -110,6 +146,8 @@ impl Trainer {
         self.run(model, data, rng, Some(ckpt), state)
     }
 
+    /// The epoch loop. Under a guard, a tripped epoch rolls back to the
+    /// last clean epoch boundary and is retried.
     fn run(
         &self,
         model: &mut dyn RationaleModel,
@@ -120,48 +158,90 @@ impl Trainer {
     ) -> DarResult<TrainReport> {
         let _train_span = dar_obs::span("train");
         let cfg = self.cfg;
+        let mut guard = self
+            .guard
+            .map(|policy| Guard::arm(policy, RestorePoint::take(model, rng, state.clone())));
+        let tag = if guard.is_some() { "|guarded" } else { "" };
+        let mut events = Vec::new();
         // Patience is checked before every epoch, so a resume from a
         // checkpoint written just before early stopping also stops.
         while state.next_epoch < cfg.epochs && !state.patience_spent(cfg.patience) {
-            let mut loss_sum = 0.0;
-            let mut n = 0usize;
-            {
-                let _epoch_span = dar_obs::span("epoch");
-                for batch in BatchIter::shuffled(&data.train, cfg.batch_size, rng) {
-                    loss_sum += model.train_step(&batch, rng);
-                    n += 1;
+            let epoch = state.next_epoch;
+            match self.epoch(model, data, rng, epoch, guard.as_mut()) {
+                Ok((train_loss, dev_score)) => {
+                    state.record(model, train_loss, dev_score, cfg.verbose, tag);
+                    if let Some(path) = ckpt {
+                        state.save(model, rng, path)?;
+                    }
+                    if let Some(guard) = &mut guard {
+                        guard.mark_clean(RestorePoint::take(model, rng, state.clone()));
+                    }
+                }
+                Err(reason) => {
+                    let guard = guard.as_mut().expect("only a guarded epoch trips");
+                    state = guard.roll_back(model, rng, epoch, reason, &mut events, cfg.verbose)?;
                 }
             }
-            dar_obs::add("train.steps", n as u64);
-            let train_loss = loss_sum / n.max(1) as f32;
-            let dev_metrics = {
-                let _eval_span = dar_obs::span("eval");
-                evaluate_model(model, &data.dev, cfg.batch_size)
-            };
-            state.record(model, train_loss, dev_score(&dev_metrics), cfg.verbose, "");
-            if let Some(path) = ckpt {
-                state.save(model, rng, path)?;
+        }
+        Ok(state.finish(model, data, cfg.batch_size, events))
+    }
+
+    /// Train epoch `epoch` and score it on dev: (mean train loss, dev
+    /// score), or under a guard the check that tripped.
+    fn epoch(
+        &self,
+        model: &mut dyn RationaleModel,
+        data: &AspectDataset,
+        rng: &mut Rng,
+        epoch: usize,
+        mut guard: Option<&mut Guard>,
+    ) -> Result<(f32, f32), GuardReason> {
+        let batch_size = self.cfg.batch_size;
+        let taint = guard.is_some() && dar_tensor::taint_enabled();
+        let mut loss_sum = 0.0;
+        let mut n = 0usize;
+        {
+            let _epoch_span = dar_obs::span("epoch");
+            for batch in BatchIter::shuffled(&data.train, batch_size, rng) {
+                if taint {
+                    // Per-step latch: anything recorded now was produced
+                    // by *this* step's forward/backward graph.
+                    dar_tensor::clear_taint();
+                }
+                let loss = model.train_step(&batch, rng);
+                if let Some(guard) = guard.as_deref_mut() {
+                    guard.check_step(n, loss)?;
+                }
+                loss_sum += loss;
+                n += 1;
+            }
+            if guard.is_some() {
+                check_params(model, epoch)?;
             }
         }
-        Ok(state.finish(model, data, cfg.batch_size))
+        dar_obs::add("train.steps", n as u64);
+        let dev_metrics = {
+            let _eval_span = dar_obs::span("eval");
+            evaluate_model(model, &data.dev, batch_size)
+        };
+        if let Some(guard) = guard {
+            guard.check_dev(epoch, &dev_metrics)?;
+        }
+        // Model selection reads dev accuracy when available (the paper's
+        // early-stopping criterion), else rationale F1.
+        let dev_score = dev_metrics.acc.unwrap_or(dev_metrics.f1);
+        Ok((loss_sum / n.max(1) as f32, dev_score))
     }
 }
 
-/// Model-selection score on dev: accuracy when available (the paper's
-/// early-stopping criterion), else rationale F1.
-pub(crate) fn dev_score(m: &RationaleMetrics) -> f32 {
-    m.acc.unwrap_or(m.f1)
-}
-
-/// The bookkeeping both training loops ([`Trainer`] and
-/// [`crate::GuardedTrainer`]) share: the next epoch, the history, and the
+/// The bookkeeping of a run: the next epoch, the history, and the
 /// early-stopping state with its best-so-far weights.
 ///
 /// An epoch-boundary checkpoint stores it as the `meta` blob of a
 /// [`Checkpoint`], together with the model name, the RNG stream position
 /// and the optimizer states — everything beyond the parameter tensors that
-/// exact resume needs. [`Trainer::fit_resume`] and a guard rollback both
-/// come back through [`RunState::load`].
+/// exact resume needs. [`Trainer::fit_resume`] comes back through
+/// [`RunState::load`]; a guard rollback restores a copy held in memory.
 #[derive(Debug, Clone)]
 pub(crate) struct RunState {
     pub(crate) next_epoch: usize,
@@ -190,14 +270,14 @@ impl RunState {
     }
 
     /// Whether early stopping's patience has run out.
-    pub(crate) fn patience_spent(&self, patience: Option<usize>) -> bool {
+    fn patience_spent(&self, patience: Option<usize>) -> bool {
         patience.is_some_and(|p| self.since_best >= p)
     }
 
     /// Record the clean epoch `next_epoch`: its history entry and
     /// `EpochDone` event, the progress line when `verbose` (the model name
     /// followed by `tag`), and the best-so-far weights.
-    pub(crate) fn record(
+    fn record(
         &mut self,
         model: &dyn RationaleModel,
         train_loss: f32,
@@ -236,7 +316,7 @@ impl RunState {
 
     /// Write the epoch-boundary checkpoint: the model's parameters, this
     /// state, the RNG position and the optimizer states.
-    pub(crate) fn save(&self, model: &dyn RationaleModel, rng: &Rng, path: &Path) -> DarResult<()> {
+    fn save(&self, model: &dyn RationaleModel, rng: &Rng, path: &Path) -> DarResult<()> {
         let meta = self.encode(model.name(), rng.state(), &model.optim_states());
         {
             let _ckpt_span = dar_obs::span("checkpoint");
@@ -249,18 +329,12 @@ impl RunState {
         Ok(())
     }
 
-    /// Restore `model` (weights, and optimizer states with their learning
-    /// rates scaled by `lr_scale`) and `rng` from the checkpoint at `path`,
-    /// returning the run state it recorded. The checkpoint must have been
-    /// written by a model of the same name.
-    pub(crate) fn load(
-        model: &mut dyn RationaleModel,
-        rng: &mut Rng,
-        path: &Path,
-        lr_scale: f32,
-    ) -> DarResult<Self> {
+    /// Restore `model` (weights and optimizer states) and `rng` from the
+    /// checkpoint at `path`, returning the run state it recorded. The
+    /// checkpoint must have been written by a model of the same name.
+    fn load(model: &mut dyn RationaleModel, rng: &mut Rng, path: &Path) -> DarResult<Self> {
         let loaded = serial::load_checkpoint_path(path)?;
-        let (model_name, rng_state, state, mut optim) = Self::decode(&loaded.meta)?;
+        let (model_name, rng_state, state, optim) = Self::decode(&loaded.meta)?;
         if model_name != model.name() {
             return Err(DarError::InvalidData(format!(
                 "checkpoint was written by model '{model_name}', resuming '{}'",
@@ -268,20 +342,19 @@ impl RunState {
             )));
         }
         serial::restore_into(&loaded.tensors, &model.params())?;
-        for s in &mut optim {
-            s.lr *= lr_scale;
-        }
         model.restore_optim(&optim)?;
         *rng = Rng::from_state(rng_state);
         Ok(state)
     }
 
-    /// Restore the best weights, evaluate dev and test, and report.
-    pub(crate) fn finish(
+    /// Restore the best weights, evaluate dev and test, and report with
+    /// the run's `events`.
+    fn finish(
         self,
         model: &mut dyn RationaleModel,
         data: &AspectDataset,
         batch_size: usize,
+        events: Vec<TrainEvent>,
     ) -> TrainReport {
         model.restore(&self.best_snap);
         let (dev, test) = {
@@ -299,6 +372,7 @@ impl RunState {
             history: self.history,
             test,
             dev,
+            events,
         }
     }
 

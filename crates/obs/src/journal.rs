@@ -21,7 +21,7 @@ pub enum ObsEvent {
     },
     /// A divergence guard tripped; `reason` is the guard's display form.
     GuardTripped { epoch: u64, reason: String },
-    /// Guarded training rolled back to its last good checkpoint.
+    /// Guarded training rolled back to its last clean epoch boundary.
     RolledBack {
         to_epoch: u64,
         retry: u64,

@@ -7,35 +7,64 @@
 //! dar-cli train RNP service --epochs 8 --scale 0.3 --seed 7
 //! dar-cli train DAR aroma --checkpoint-dir ckpts        # durable epochs
 //! dar-cli train DAR aroma --checkpoint-dir ckpts --resume   # continue
-//! dar-cli train DAR aroma --checkpoint-dir ckpts --guard    # divergence guards
+//! dar-cli train RNP aroma --guard                   # divergence guards
+//! dar-cli train RNP aroma --checkpoint-dir ckpts --resume --guard
 //! dar-cli show DAR palate            # train briefly, dump rationales
 //! ```
 
 use std::path::PathBuf;
 
-use dar::cli::{bool_flag, flag};
-use dar::core::guard::{GuardPolicy, GuardedTrainer, TrainEvent};
+use dar::cli::{bool_flag, checked, flag, Spec};
+use dar::core::guard::GuardPolicy;
 use dar::core::models;
 use dar::data::DatasetStats;
 use dar::prelude::*;
 
+const USAGE: &str = "\
+usage: dar-cli <stats | train MODEL ASPECT | show MODEL ASPECT>
+  MODEL:  RNP DAR A2R DMR Inter_RAT CAR 3PLAYER VIB RNP-os
+  ASPECT: appearance aroma palate location service cleanliness
+  flags:  --epochs N  --scale F  --seed N  --sparsity F
+          --checkpoint-dir DIR   save a durable checkpoint every epoch
+          --resume               continue from the checkpoint in DIR
+          --guard                train with divergence guards + rollback
+          --obs-out DIR          write the obs snapshot to DIR/obs_cli.json";
+
+/// `stats` takes no arguments.
+const STATS: Spec = Spec {
+    usage: USAGE,
+    valued: &[],
+    switches: &[],
+    positionals: 0,
+};
+
+/// `train` and `show`: MODEL, ASPECT and the flags.
+const TRAIN: Spec = Spec {
+    usage: USAGE,
+    valued: &[
+        "--epochs",
+        "--scale",
+        "--seed",
+        "--sparsity",
+        "--checkpoint-dir",
+        "--obs-out",
+    ],
+    switches: &["--resume", "--guard"],
+    positionals: 2,
+};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("stats") => stats(),
-        Some("train") => train(&args[1..], false),
-        Some("show") => train(&args[1..], true),
+        Some("stats") => {
+            checked(rest, &STATS);
+            stats()
+        }
+        Some("train") => train(rest, false),
+        Some("show") => train(rest, true),
         _ => {
-            eprintln!("usage: dar-cli <stats | train MODEL ASPECT | show MODEL ASPECT>");
-            eprintln!("  MODEL:  RNP DAR A2R DMR Inter_RAT CAR 3PLAYER VIB RNP-os");
-            eprintln!("  ASPECT: appearance aroma palate location service cleanliness");
-            eprintln!("  flags:  --epochs N  --scale F  --seed N  --sparsity F");
-            eprintln!("          --checkpoint-dir DIR   save a durable checkpoint every epoch");
-            eprintln!("          --resume               continue from the checkpoint in DIR");
-            eprintln!("          --guard                train with divergence guards + rollback");
-            eprintln!(
-                "          --obs-out DIR          write the obs snapshot to DIR/obs_cli.json"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -104,14 +133,11 @@ fn train_flags(args: &[String]) -> TrainFlags {
 }
 
 fn train(args: &[String], show: bool) {
-    let model_name = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("missing MODEL");
+    let [model_name, aspect] = checked(args, &TRAIN)[..] else {
+        eprintln!("missing MODEL or ASPECT\n{USAGE}");
         std::process::exit(2);
-    });
-    let aspect = parse_aspect(args.get(1).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("missing ASPECT");
-        std::process::exit(2);
-    }));
+    };
+    let aspect = parse_aspect(aspect);
     let TrainFlags {
         epochs,
         scale,
@@ -121,13 +147,8 @@ fn train(args: &[String], show: bool) {
     let ckpt_dir: Option<PathBuf> = flag(args, "--checkpoint-dir");
     let obs_out: Option<PathBuf> = flag(args, "--obs-out");
     let resume = bool_flag(args, "--resume");
-    let guard = bool_flag(args, "--guard");
-    if (resume || guard) && ckpt_dir.is_none() {
-        eprintln!("--resume/--guard need --checkpoint-dir DIR");
-        std::process::exit(2);
-    }
-    if resume && guard {
-        eprintln!("--resume continues with the plain trainer; drop --guard to resume");
+    if resume && ckpt_dir.is_none() {
+        eprintln!("--resume needs --checkpoint-dir DIR");
         std::process::exit(2);
     }
 
@@ -150,14 +171,17 @@ fn train(args: &[String], show: bool) {
     );
     let emb = SharedEmbedding::pretrained(&data, cfg.emb_dim, &mut rng);
     let mut model =
-        models::by_name(&model_name, &cfg, &emb, &data, 6, &mut rng).unwrap_or_else(|| {
+        models::by_name(model_name, &cfg, &emb, &data, 6, &mut rng).unwrap_or_else(|| {
             eprintln!("unknown model '{model_name}'");
             std::process::exit(2);
         });
-    let tcfg = TrainConfig {
-        epochs,
-        verbose: true,
-        ..Default::default()
+    let trainer = Trainer {
+        cfg: TrainConfig {
+            epochs,
+            verbose: true,
+            ..Default::default()
+        },
+        guard: bool_flag(args, "--guard").then(GuardPolicy::default),
     };
     let ckpt = ckpt_dir.map(|dir| {
         if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -166,41 +190,21 @@ fn train(args: &[String], show: bool) {
         }
         dir.join(format!("{model_name}-{}.dart", data.name))
     });
-    let report = match (&ckpt, guard, resume) {
-        (Some(path), true, false) => {
-            // Guarded training implies per-epoch checkpoints (the rollback
-            // target); a crashed guarded run is resumable with --resume.
-            let guarded = GuardedTrainer::new(tcfg, GuardPolicy::default())
-                .fit(model.as_mut(), &data, &mut rng, path)
-                .unwrap_or_else(|e| {
-                    eprintln!("guarded training failed: {e}");
-                    std::process::exit(1);
-                });
-            for event in &guarded.events {
-                if !matches!(event, TrainEvent::EpochDone { .. }) {
-                    println!("guard: {event:?}");
-                }
-            }
-            if guarded.rollbacks > 0 {
-                println!("guard: {} rollback(s) performed", guarded.rollbacks);
-            }
-            guarded.report
-        }
-        (Some(path), false, true) => Trainer::new(tcfg)
-            .fit_resume(model.as_mut(), &data, &mut rng, path)
-            .unwrap_or_else(|e| {
-                eprintln!("resume from {} failed: {e}", path.display());
-                std::process::exit(1);
-            }),
-        (Some(path), false, false) => Trainer::new(tcfg)
-            .fit_checkpointed(model.as_mut(), &data, &mut rng, path)
-            .unwrap_or_else(|e| {
-                eprintln!("checkpointed training failed: {e}");
-                std::process::exit(1);
-            }),
-        (Some(_), true, true) => unreachable!("rejected at argument parsing"),
-        (None, _, _) => Trainer::new(tcfg).fit(model.as_mut(), &data, &mut rng),
+    let run = match &ckpt {
+        Some(path) if resume => trainer.fit_resume(model.as_mut(), &data, &mut rng, path),
+        Some(path) => trainer.fit_checkpointed(model.as_mut(), &data, &mut rng, path),
+        None => trainer.try_fit(model.as_mut(), &data, &mut rng),
     };
+    let report = run.unwrap_or_else(|e| {
+        eprintln!("training failed: {e}");
+        std::process::exit(1);
+    });
+    for event in &report.events {
+        println!("guard: {event:?}");
+    }
+    if report.rollbacks() > 0 {
+        println!("guard: {} rollback(s) performed", report.rollbacks());
+    }
     if let Some(path) = &ckpt {
         println!("checkpoint: {}", path.display());
     }

@@ -31,7 +31,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dar::cli::{bool_flag, flag};
+use dar::cli::{bool_flag, checked, flag, Spec};
 use dar::core::stream::{spawn_online_trainer, CandidateMsg, FeedConfig, OnlineTrainerConfig};
 use dar::data::Review;
 use dar::prelude::*;
@@ -225,16 +225,25 @@ fn drill_main(args: &[String]) {
     eprintln!("[dar-loop] ok");
 }
 
+const SPEC: Spec = Spec {
+    usage: "usage: dar-loop [--rounds N] [--wave N] [--seed N] [--out DIR]\n\
+            \x20       [--state-dir DIR [--recover]]\n\
+            \x20       --drill --state-dir DIR [--rounds N] [--round-delay-ms D] [--recover]",
+    valued: &[
+        "--rounds",
+        "--wave",
+        "--seed",
+        "--out",
+        "--state-dir",
+        "--round-delay-ms",
+    ],
+    switches: &["--drill", "--recover"],
+    positionals: 0,
+};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: dar-loop [--rounds N] [--wave N] [--seed N] [--out DIR]\n\
-             \x20       [--state-dir DIR [--recover]]\n\
-             \x20       --drill --state-dir DIR [--rounds N] [--round-delay-ms D] [--recover]"
-        );
-        std::process::exit(2);
-    }
+    checked(&args, &SPEC);
     if bool_flag(&args, "--drill") {
         drill_main(&args);
         return;

@@ -26,22 +26,23 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dar::cli::{bool_flag, flag};
+use dar::cli::{bool_flag, checked, flag, Spec};
 use dar::core::fault::StallPlan;
 use dar::data::Review;
 use dar::prelude::*;
 use dar::serve::{HealthPolicy, ServeConfig, ServeError, Server};
 use dar::tensor::serial::{self, Checkpoint};
 
+const SPEC: Spec = Spec {
+    usage: "usage: dar-serve [--health-bench] [--requests N] [--replicas N] [--seed N] [--out DIR]",
+    valued: &["--requests", "--replicas", "--seed", "--out"],
+    switches: &["--health-bench"],
+    positionals: 0,
+};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: dar-serve [--health-bench] [--requests N] [--replicas N] [--seed N] \
-             [--out DIR]"
-        );
-        std::process::exit(2);
-    }
+    checked(&args, &SPEC);
     let seed = flag(&args, "--seed").unwrap_or(42);
     let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));
     if bool_flag(&args, "--health-bench") {

@@ -1,12 +1,13 @@
 //! `numbench --kernels` — benchmark of the pluggable kernel backends
-//! (DESIGN.md §17): per-kernel best-of-3 throughput for gemm / bmm /
-//! gru_bptt / softmax / layer_norm under `ReferenceKernel` vs
-//! `BlockedKernel`, plus end-to-end training examples/s on both, recorded
-//! in `results/BENCH_kernels.json`. On SIMD-capable machines it hard-fails
-//! when a blocked/reference ratio from this run falls below its floor:
-//! 2× on gemm, gru_bptt and softmax, 1.4× on bmm, 1.3× on layer_norm and
-//! end to end. Both sides of each ratio run in the same process,
-//! moments apart, so the machine's drift between runs cancels out.
+//! (DESIGN.md §17): gemm / bmm / gru_bptt / softmax / layer_norm
+//! throughput under `ReferenceKernel` vs `BlockedKernel`, plus end-to-end
+//! training examples/s on both, recorded in `results/BENCH_kernels.json`.
+//! Each kernel runs in paired rounds, as `obsbench` does: a round
+//! alternates the two backends pass by pass, so both sides of it see the
+//! same machine speed, and its ratio compares each side's best pass. On
+//! SIMD-capable machines it hard-fails when the median of a kernel's
+//! per-round blocked/reference ratios falls below its floor: 2× on gemm,
+//! gru_bptt and softmax, 1.4× on bmm, 1.3× on layer_norm and end to end.
 //!
 //! ```sh
 //! numbench --kernels --out results
@@ -15,11 +16,11 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dar::cli::{bool_flag, flag};
+use dar::cli::{bool_flag, checked, flag, Spec};
 use dar::prelude::*;
 use dar::tensor::ops::kernel::blocked::simd_level;
 use dar::tensor::ops::rnn::gru_seq;
-use dar::tensor::{kernel_for, with_kernel_backend, Kernel, KernelBackend};
+use dar::tensor::{kernel_for, with_kernel_backend, KernelBackend};
 use dar::Tensor;
 
 /// Examples/second for `steps` optimisation steps on a fresh,
@@ -58,53 +59,90 @@ fn fill(n: usize, salt: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Best-of-`rounds` of whatever throughput `f` reports: a one-off
-/// scheduler hiccup must not masquerade as a kernel regression.
-fn best_of(rounds: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..rounds {
-        best = best.max(f());
+/// Paired rounds per kernel; the floors gate the median of their ratios.
+const ROUNDS: usize = 9;
+
+/// Timed passes per backend in a round, interleaved; the round's ratio
+/// compares each backend's best pass, so a pass another process slowed
+/// down does not decide it.
+const PASSES: usize = 3;
+
+/// One kernel's paired rounds: each backend's best throughput, and the
+/// median and range of the per-round blocked/reference ratios.
+struct Paired {
+    reference: f64,
+    blocked: f64,
+    ratio: f64,
+    lo: f64,
+    hi: f64,
+}
+
+/// Run `pass` (one timed pass under a backend, returning its throughput)
+/// in `ROUNDS` paired rounds. A round alternates the two backends pass by
+/// pass, and the backend that goes first alternates by round, so both
+/// sides of a round see the same machine speed and drift between rounds
+/// cancels out of each round's ratio.
+fn paired(mut pass: impl FnMut(KernelBackend) -> f64) -> Paired {
+    const SIDES: [KernelBackend; 2] = [KernelBackend::Reference, KernelBackend::Blocked];
+    // Warm-up: one untimed pass each so allocator and cache state match.
+    for side in SIDES {
+        pass(side);
     }
-    best
+    let mut best = [0.0f64; 2];
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let mut round_best = [0.0f64; 2];
+        for i in (round..round + 2 * PASSES).map(|k| k % 2) {
+            round_best[i] = round_best[i].max(pass(SIDES[i]));
+            best[i] = best[i].max(round_best[i]);
+        }
+        ratios.push(round_best[1] / round_best[0]);
+    }
+    ratios.sort_by(f64::total_cmp);
+    Paired {
+        reference: best[0],
+        blocked: best[1],
+        ratio: ratios[ROUNDS / 2],
+        lo: ratios[0],
+        hi: ratios[ROUNDS - 1],
+    }
+}
+
+/// Seconds per call of `f` over `iters` calls, after one untimed call
+/// that warms the caches for this backend.
+fn timed(iters: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let t = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed().as_secs_f64() / iters as f64
 }
 
 /// GFLOP/s of the raw `Kernel::gemm` entry point (no graph overhead).
-fn bench_gemm(kern: &'static dyn Kernel) -> f64 {
+fn gemm_pass(backend: KernelBackend) -> f64 {
+    let kern = kernel_for(backend);
     let (m, k, n) = (256usize, 256usize, 256usize);
     let a = fill(m * k, 1);
     let b = fill(k * n, 2);
     let mut c = vec![0.0f32; m * n];
-    let iters = 20;
-    kern.gemm(&a, &b, &mut c, m, k, n); // warm-up
-    best_of(3, || {
-        let t = Instant::now();
-        for _ in 0..iters {
-            kern.gemm(&a, &b, &mut c, m, k, n);
-        }
-        (2 * m * k * n * iters) as f64 / t.elapsed().as_secs_f64() / 1e9
-    })
+    let secs = timed(20, || kern.gemm(&a, &b, &mut c, m, k, n));
+    (2 * m * k * n) as f64 / secs / 1e9
 }
 
 /// GFLOP/s of batched matmul through the full tensor op.
-fn bench_bmm(backend: KernelBackend) -> f64 {
+fn bmm_pass(backend: KernelBackend) -> f64 {
     with_kernel_backend(backend, || {
         let (bb, m, k, n) = (16usize, 64usize, 64usize, 64usize);
         let a = Tensor::new(fill(bb * m * k, 3), &[bb, m, k]);
         let b = Tensor::new(fill(bb * k * n, 4), &[bb, k, n]);
-        let iters = 20;
-        let _ = a.bmm(&b); // warm-up
-        best_of(3, || {
-            let t = Instant::now();
-            for _ in 0..iters {
-                let _ = a.bmm(&b);
-            }
-            (2 * bb * m * k * n * iters) as f64 / t.elapsed().as_secs_f64() / 1e9
-        })
+        let secs = timed(100, || drop(a.bmm(&b)));
+        (2 * bb * m * k * n) as f64 / secs / 1e9
     })
 }
 
 /// Sequences/s of a fused GRU forward + full BPTT backward.
-fn bench_gru_bptt(backend: KernelBackend) -> f64 {
+fn gru_bptt_pass(backend: KernelBackend) -> f64 {
     with_kernel_backend(backend, || {
         let (b, l, e, h) = (32usize, 40usize, 32usize, 32usize);
         let x = Tensor::param(fill(b * l * e, 5), &[b, l, e]);
@@ -112,25 +150,18 @@ fn bench_gru_bptt(backend: KernelBackend) -> f64 {
         let b_zr = Tensor::param(fill(2 * h, 7), &[2 * h]);
         let w_h = Tensor::param(fill((e + h) * h, 8), &[e + h, h]);
         let b_h = Tensor::param(fill(h, 9), &[h]);
-        let step = || {
+        let secs = timed(20, || {
             gru_seq(&x, None, &w_zr, &b_zr, &w_h, &b_h, false)
                 .sum()
                 .backward()
-        };
-        let iters = 10;
-        step(); // warm-up
-        best_of(3, || {
-            let t = Instant::now();
-            for _ in 0..iters {
-                step();
-            }
-            (b * iters) as f64 / t.elapsed().as_secs_f64()
-        })
+        });
+        b as f64 / secs
     })
 }
 
 /// Million elements/s of a raw forward row kernel.
-fn bench_rows(kern: &'static dyn Kernel, which: &str) -> f64 {
+fn rows_pass(backend: KernelBackend, which: &str) -> f64 {
+    let kern = kernel_for(backend);
     let (rows, c) = (2048usize, 128usize);
     let x = fill(rows * c, 10);
     let gamma = fill(c, 11);
@@ -138,7 +169,7 @@ fn bench_rows(kern: &'static dyn Kernel, which: &str) -> f64 {
     let mut out = vec![0.0f32; rows * c];
     let mut xhat = vec![0.0f32; rows * c];
     let mut inv_std = vec![0.0f32; rows];
-    let mut pass = || match which {
+    let secs = timed(50, || match which {
         "softmax" => kern.softmax_rows(&x, &mut out, c),
         "layer_norm" => kern.layer_norm_rows(
             &x,
@@ -151,39 +182,13 @@ fn bench_rows(kern: &'static dyn Kernel, which: &str) -> f64 {
             1e-5,
         ),
         other => unreachable!("unknown row kernel '{other}'"),
-    };
-    let iters = 50;
-    pass(); // warm-up
-    best_of(3, || {
-        let t = Instant::now();
-        for _ in 0..iters {
-            pass();
-        }
-        (rows * c * iters) as f64 / t.elapsed().as_secs_f64() / 1e6
-    })
-}
-
-/// End-to-end seeded training throughput under one backend.
-fn bench_e2e(backend: KernelBackend, data: &dar::data::AspectDataset) -> f64 {
-    with_kernel_backend(backend, || best_of(3, || run(data, 30, 32, 42)))
+    });
+    (rows * c) as f64 / secs / 1e6
 }
 
 fn kernels_main(out_dir: &std::path::Path) {
-    let reference = kernel_for(KernelBackend::Reference);
-    let blocked = kernel_for(KernelBackend::Blocked);
     let level = simd_level();
-    eprintln!("[numbench] kernel sweep: simd_level {level}");
-
-    let gemm_ref = bench_gemm(reference);
-    let gemm_blk = bench_gemm(blocked);
-    let bmm_ref = bench_bmm(KernelBackend::Reference);
-    let bmm_blk = bench_bmm(KernelBackend::Blocked);
-    let gru_ref = bench_gru_bptt(KernelBackend::Reference);
-    let gru_blk = bench_gru_bptt(KernelBackend::Blocked);
-    let sm_ref = bench_rows(reference, "softmax");
-    let sm_blk = bench_rows(blocked, "softmax");
-    let ln_ref = bench_rows(reference, "layer_norm");
-    let ln_blk = bench_rows(blocked, "layer_norm");
+    eprintln!("[numbench] kernel sweep: simd_level {level}, {ROUNDS} paired rounds per kernel");
 
     let synth = SynthConfig {
         n_train: 128,
@@ -192,54 +197,50 @@ fn kernels_main(out_dir: &std::path::Path) {
         ..SynthConfig::beer(Aspect::Aroma)
     };
     let data = SynBeer::generate(&synth, &mut dar::rng(42));
-    let e2e_ref = bench_e2e(KernelBackend::Reference, &data);
-    let e2e_blk = bench_e2e(KernelBackend::Blocked, &data);
+    let gemm = paired(gemm_pass);
+    let bmm = paired(bmm_pass);
+    let gru_bptt = paired(gru_bptt_pass);
+    let softmax = paired(|b| rows_pass(b, "softmax"));
+    let layer_norm = paired(|b| rows_pass(b, "layer_norm"));
+    // End-to-end seeded training throughput.
+    let e2e = paired(|b| with_kernel_backend(b, || run(&data, 12, 32, 42)));
+    // (name, unit, JSON key suffix, floor, rounds)
+    let results = [
+        ("gemm", "GF/s", "gflops", 2.0, gemm),
+        ("bmm", "GF/s", "gflops", 1.4, bmm),
+        ("gru_bptt", "seq/s", "seq_per_s", 2.0, gru_bptt),
+        ("softmax", "Me/s", "melem_per_s", 2.0, softmax),
+        ("layer_norm", "Me/s", "melem_per_s", 1.3, layer_norm),
+        ("e2e", "ex/s", "examples_per_s", 1.3, e2e),
+    ];
 
-    let gemm_speedup = gemm_blk / gemm_ref;
-    let bmm_speedup = bmm_blk / bmm_ref;
-    let gru_speedup = gru_blk / gru_ref;
-    let sm_speedup = sm_blk / sm_ref;
-    let ln_speedup = ln_blk / ln_ref;
-    let e2e_speedup = e2e_blk / e2e_ref;
-
-    eprintln!("[numbench] gemm       ref {gemm_ref:8.2} GF/s  blocked {gemm_blk:8.2} GF/s  x{gemm_speedup:.2}");
-    eprintln!("[numbench] bmm        ref {bmm_ref:8.2} GF/s  blocked {bmm_blk:8.2} GF/s  x{bmm_speedup:.2}");
-    eprintln!("[numbench] gru_bptt   ref {gru_ref:8.0} seq/s blocked {gru_blk:8.0} seq/s x{gru_speedup:.2}");
-    eprintln!(
-        "[numbench] softmax    ref {sm_ref:8.1} Me/s  blocked {sm_blk:8.1} Me/s  x{sm_speedup:.2}"
-    );
-    eprintln!(
-        "[numbench] layer_norm ref {ln_ref:8.1} Me/s  blocked {ln_blk:8.1} Me/s  x{ln_speedup:.2}"
-    );
-    eprintln!("[numbench] e2e        ref {e2e_ref:8.0} ex/s  blocked {e2e_blk:8.0} ex/s  x{e2e_speedup:.2}");
-
+    let mut json = format!("{{\"simd_level\": {level}, \"rounds\": {ROUNDS}");
+    for (name, unit, key, _, p) in &results {
+        eprintln!(
+            "[numbench] {name:<10} ref {:8.2} {unit:<5} blocked {:8.2} {unit:<5} x{:.2} \
+             (rounds x{:.2}..x{:.2})",
+            p.reference, p.blocked, p.ratio, p.lo, p.hi
+        );
+        json += &format!(
+            ", \"{name}_ref_{key}\": {:.3}, \"{name}_blocked_{key}\": {:.3}, \
+             \"{name}_speedup\": {:.3}",
+            p.reference, p.blocked, p.ratio
+        );
+    }
+    json += "}\n";
     std::fs::create_dir_all(out_dir).expect("creating output dir");
-    let json = format!(
-        "{{\"simd_level\": {level}, \
-          \"gemm_ref_gflops\": {gemm_ref:.3}, \"gemm_blocked_gflops\": {gemm_blk:.3}, \"gemm_speedup\": {gemm_speedup:.3}, \
-          \"bmm_ref_gflops\": {bmm_ref:.3}, \"bmm_blocked_gflops\": {bmm_blk:.3}, \"bmm_speedup\": {bmm_speedup:.3}, \
-          \"gru_bptt_ref_seq_per_s\": {gru_ref:.2}, \"gru_bptt_blocked_seq_per_s\": {gru_blk:.2}, \"gru_bptt_speedup\": {gru_speedup:.3}, \
-          \"softmax_ref_melem_per_s\": {sm_ref:.2}, \"softmax_blocked_melem_per_s\": {sm_blk:.2}, \"softmax_speedup\": {sm_speedup:.3}, \
-          \"layer_norm_ref_melem_per_s\": {ln_ref:.2}, \"layer_norm_blocked_melem_per_s\": {ln_blk:.2}, \"layer_norm_speedup\": {ln_speedup:.3}, \
-          \"e2e_ref_examples_per_s\": {e2e_ref:.2}, \"e2e_blocked_examples_per_s\": {e2e_blk:.2}, \"e2e_speedup\": {e2e_speedup:.3}}}\n"
-    );
     std::fs::write(out_dir.join("BENCH_kernels.json"), json).expect("writing BENCH_kernels.json");
 
     // The floors only bind where SIMD is available: a scalar-only box
     // cannot promise them.
     if level >= 2 {
-        let floors = [
-            ("gemm", gemm_speedup, 2.0),
-            ("bmm", bmm_speedup, 1.4),
-            ("gru_bptt", gru_speedup, 2.0),
-            ("softmax", sm_speedup, 2.0),
-            ("layer_norm", ln_speedup, 1.3),
-            ("e2e", e2e_speedup, 1.3),
-        ];
         let mut fail = false;
-        for (name, speedup, floor) in floors {
-            if speedup < floor {
-                eprintln!("[numbench] FAIL: {name} speedup {speedup:.2} < {floor:.1} floor");
+        for (name, _, _, floor, p) in &results {
+            if p.ratio < *floor {
+                eprintln!(
+                    "[numbench] FAIL: {name} median speedup {:.2} < {floor:.1} floor",
+                    p.ratio
+                );
                 fail = true;
             }
         }
@@ -250,10 +251,18 @@ fn kernels_main(out_dir: &std::path::Path) {
     eprintln!("[numbench] kernels ok");
 }
 
+const SPEC: Spec = Spec {
+    usage: "usage: numbench --kernels [--out DIR]",
+    valued: &["--out"],
+    switches: &["--kernels"],
+    positionals: 0,
+};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if !bool_flag(&args, "--kernels") || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: numbench --kernels [--out DIR]");
+    checked(&args, &SPEC);
+    if !bool_flag(&args, "--kernels") {
+        eprintln!("{}", SPEC.usage);
         std::process::exit(2);
     }
     let out_dir = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("results"));

@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dar::cli::flag;
+use dar::cli::{checked, flag, Spec};
 use dar::prelude::*;
 
 /// Paired off/on rounds; the gate reads the median of their overheads.
@@ -84,12 +84,16 @@ fn paired_round(
     (eps(secs[0]), eps(secs[1]))
 }
 
+const SPEC: Spec = Spec {
+    usage: "usage: obsbench [--steps N] [--batch N] [--seed N] [--out DIR]",
+    valued: &["--steps", "--batch", "--seed", "--out"],
+    switches: &[],
+    positionals: 0,
+};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: obsbench [--steps N] [--batch N] [--seed N] [--out DIR]");
-        std::process::exit(2);
-    }
+    checked(&args, &SPEC);
     let steps = flag(&args, "--steps").unwrap_or(60);
     let batch_size = flag(&args, "--batch").unwrap_or(32);
     let seed = flag(&args, "--seed").unwrap_or(42);

@@ -3,7 +3,7 @@
 //! carry a run across injected faults.
 
 use dar::core::fault::{self, FaultPlan, FaultyModel};
-use dar::core::guard::{GuardPolicy, GuardReason, GuardedTrainer, TrainEvent};
+use dar::core::guard::{GuardPolicy, GuardReason, TrainEvent};
 use dar::prelude::*;
 use dar::store::{FaultyStorage, RealStorage, Storage, StorageFaultPlan};
 use dar::tensor::serial::{self, save_checkpoint_atomic, Checkpoint};
@@ -83,7 +83,6 @@ fn guarded_run_survives_injected_nan_loss() {
         patience: None,
         ..Default::default()
     };
-    let path = tmpfile("nan_loss");
     let mut rng = dar::rng(702);
     let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
     // 96 rows / batch 32 = 3 steps per epoch; fault in epoch 1.
@@ -93,8 +92,8 @@ fn guarded_run_survives_injected_nan_loss() {
         collapse_high: 2.0,
         ..Default::default()
     };
-    let guarded = GuardedTrainer::new(tcfg, policy)
-        .fit(&mut model, &data, &mut rng, &path)
+    let guarded = Trainer::guarded(tcfg, policy)
+        .try_fit(&mut model, &data, &mut rng)
         .unwrap();
     assert!(
         guarded.events.iter().any(|e| matches!(
@@ -107,13 +106,9 @@ fn guarded_run_survives_injected_nan_loss() {
         "no NaN trip recorded: {:?}",
         guarded.events
     );
-    assert_eq!(
-        guarded.report.epochs_run, 3,
-        "run must complete after recovery"
-    );
-    assert!(guarded.report.test.f1.is_finite());
-    assert!(guarded.rollbacks >= 1);
-    std::fs::remove_file(path).ok();
+    assert_eq!(guarded.epochs_run, 3, "run must complete after recovery");
+    assert!(guarded.test.f1.is_finite());
+    assert!(guarded.rollbacks() >= 1);
 }
 
 /// NaN weights are caught by the epoch-boundary parameter scan and rolled
@@ -128,7 +123,6 @@ fn guarded_run_survives_injected_nan_weights() {
         patience: None,
         ..Default::default()
     };
-    let path = tmpfile("nan_weights");
     let mut rng = dar::rng(703);
     let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
     let mut model = FaultyModel::new(inner, FaultPlan::nan_weights_at(1));
@@ -137,8 +131,8 @@ fn guarded_run_survives_injected_nan_weights() {
         collapse_high: 2.0,
         ..Default::default()
     };
-    let guarded = GuardedTrainer::new(tcfg, policy)
-        .fit(&mut model, &data, &mut rng, &path)
+    let guarded = Trainer::guarded(tcfg, policy)
+        .try_fit(&mut model, &data, &mut rng)
         .unwrap();
     assert!(
         guarded.events.iter().any(|e| matches!(
@@ -157,7 +151,6 @@ fn guarded_run_survives_injected_nan_weights() {
             "non-finite weights survived"
         );
     }
-    std::fs::remove_file(path).ok();
 }
 
 /// A guard rollback is an exact restore of weights, optimizer moments,
@@ -181,40 +174,160 @@ fn guard_rollback_is_an_exact_restore() {
         collapse_high: 2.0,
         ..Default::default()
     };
-    let run = |plan: FaultPlan, tag: &str| {
-        let path = tmpfile(tag);
+    let run = |plan: FaultPlan| {
         let mut rng = dar::rng(704);
         let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
         let mut model = FaultyModel::new(inner, plan);
-        let guarded = GuardedTrainer::new(tcfg, policy)
-            .fit(&mut model, &data, &mut rng, &path)
+        let guarded = Trainer::guarded(tcfg, policy)
+            .try_fit(&mut model, &data, &mut rng)
             .unwrap();
-        std::fs::remove_file(path).ok();
         let weights: Vec<Vec<u32>> = model
             .params()
             .iter()
             .map(|p| p.to_vec().iter().map(|v| v.to_bits()).collect())
             .collect();
         let history: Vec<(usize, u32, u32)> = guarded
-            .report
             .history
             .iter()
             .map(|e| (e.epoch, e.train_loss.to_bits(), e.dev_score.to_bits()))
             .collect();
-        let test = format!("{:?}", guarded.report.test);
-        (guarded.rollbacks, weights, history, test)
+        let test = format!("{:?}", guarded.test);
+        (guarded.rollbacks(), weights, history, test)
     };
-    let (rollbacks, weights, history, test) = run(FaultPlan::none(), "exact_clean");
+    let (rollbacks, weights, history, test) = run(FaultPlan::none());
     assert_eq!(rollbacks, 0);
     // 96 rows / batch 32 = 3 steps per epoch: step 1 faults in epoch 0,
     // step 4 in epoch 1.
     for k in [1, 4] {
-        let (r, w, h, t) = run(FaultPlan::nan_loss_at(k), &format!("exact_{k}"));
+        let (r, w, h, t) = run(FaultPlan::nan_loss_at(k));
         assert_eq!(r, 1, "step {k}: expected exactly one rollback");
         assert!(w == weights, "step {k}: weights differ from the clean run");
         assert_eq!(h, history, "step {k}: history differs from the clean run");
         assert_eq!(t, test, "step {k}: test metrics differ from the clean run");
     }
+}
+
+/// A loss far outside the rolling window, planted once the window is past
+/// its warm-up, trips the spike guard; the run rolls back to the start of
+/// the epoch, retries with a decayed learning rate and finishes.
+#[test]
+fn guarded_run_survives_a_planted_loss_spike() {
+    let (data, cfg, emb) = tiny();
+    let ml = pretrain::max_len(&data);
+    // 96 rows / batch 8 = 12 steps per epoch: by step 18 (step 6 of
+    // epoch 1) the window holds 18 losses, past the warm-up of 16.
+    let tcfg = TrainConfig {
+        epochs: 3,
+        batch_size: 8,
+        patience: None,
+        ..Default::default()
+    };
+    let policy = GuardPolicy {
+        collapse_low: -1.0,
+        collapse_high: 2.0,
+        ..Default::default()
+    };
+    assert!(policy.spike_warmup <= 18);
+    let mut rng = dar::rng(706);
+    let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
+    let mut model = FaultyModel::new(inner, FaultPlan::loss_spike_at(18, 1e3));
+    let guarded = Trainer::guarded(tcfg, policy)
+        .try_fit(&mut model, &data, &mut rng)
+        .unwrap();
+    let trips: Vec<_> = guarded
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TrainEvent::GuardTripped { epoch, reason } => Some((*epoch, reason)),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        matches!(trips[..], [(1, GuardReason::LossSpike { step: 6, loss, .. })] if *loss > 1e3),
+        "expected one spike trip at step 6 of epoch 1: {:?}",
+        guarded.events
+    );
+    assert!(guarded.events.contains(&TrainEvent::RolledBack {
+        to_epoch: 1,
+        retry: 1,
+        lr_scale: policy.lr_decay,
+    }));
+    assert_eq!(guarded.rollbacks(), 1);
+    assert_eq!(guarded.epochs_run, 3, "run must complete after recovery");
+    assert!(guarded.test.f1.is_finite());
+}
+
+/// A guarded run stopped after epoch 2 and resumed under the guard
+/// matches the uninterrupted guarded run bit for bit — history, best
+/// epoch, test metrics, final checkpoint, and the guard events (the
+/// stopped run's followed by the resumed run's) — with a NaN loss after
+/// the cut forcing a rollback past the resume.
+#[test]
+fn guarded_resume_matches_the_uninterrupted_guarded_run() {
+    let (data, cfg, emb) = tiny();
+    let ml = pretrain::max_len(&data);
+    let full = TrainConfig {
+        epochs: 4,
+        batch_size: 32,
+        patience: None,
+        ..Default::default()
+    };
+    let policy = GuardPolicy {
+        collapse_low: -1.0,
+        collapse_high: 2.0,
+        ..Default::default()
+    };
+    // 96 rows / batch 32 = 3 steps per epoch: absolute step 7 is step 1
+    // of epoch 2, the first epoch after the cut.
+    const FAULT_STEP: usize = 7;
+    let fresh = |plan: FaultPlan| {
+        let mut rng = dar::rng(707);
+        let model = FaultyModel::new(Rnp::new(&cfg, &emb, ml, &mut rng), plan);
+        (model, rng)
+    };
+    let bits = |r: &TrainReport| {
+        let history: Vec<(usize, u32, u32)> = r
+            .history
+            .iter()
+            .map(|e| (e.epoch, e.train_loss.to_bits(), e.dev_score.to_bits()))
+            .collect();
+        (history, r.best_epoch, format!("{:?}", r.test))
+    };
+
+    let path_a = tmpfile("guarded_uninterrupted");
+    let (mut model, mut rng) = fresh(FaultPlan::nan_loss_at(FAULT_STEP));
+    let uninterrupted = Trainer::guarded(full, policy)
+        .fit_checkpointed(&mut model, &data, &mut rng, &path_a)
+        .unwrap();
+    assert_eq!(uninterrupted.rollbacks(), 1, "{:?}", uninterrupted.events);
+
+    let path_b = tmpfile("guarded_cut");
+    let (mut model, mut rng) = fresh(FaultPlan::nan_loss_at(FAULT_STEP));
+    let stopped = Trainer::guarded(TrainConfig { epochs: 2, ..full }, policy)
+        .fit_checkpointed(&mut model, &data, &mut rng, &path_b)
+        .unwrap();
+    let cut = model.steps_taken;
+    assert_eq!(cut, 6, "the fault must land after the cut");
+
+    // A fresh process: its fault wrapper counts steps from 0.
+    let (mut model, _) = fresh(FaultPlan::nan_loss_at(FAULT_STEP - cut));
+    let mut rng = dar::rng(9999); // overwritten by the resume
+    let resumed = Trainer::guarded(full, policy)
+        .fit_resume(&mut model, &data, &mut rng, &path_b)
+        .unwrap();
+
+    assert_eq!(bits(&resumed), bits(&uninterrupted));
+    assert_eq!(
+        [stopped.events, resumed.events].concat(),
+        uninterrupted.events
+    );
+    assert_eq!(
+        std::fs::read(&path_b).unwrap(),
+        std::fs::read(&path_a).unwrap(),
+        "final checkpoints differ"
+    );
+    std::fs::remove_file(path_a).ok();
+    std::fs::remove_file(path_b).ok();
 }
 
 /// A persistent fault exhausts the bounded retry budget and surfaces as a
@@ -229,24 +342,22 @@ fn persistent_fault_exhausts_retries() {
         patience: None,
         ..Default::default()
     };
-    let path = tmpfile("exhaust");
     let mut rng = dar::rng(704);
     let inner = Rnp::new(&cfg, &emb, ml, &mut rng);
     let mut model = FaultyModel::new(inner, FaultPlan::nan_loss_from(0));
-    let err = GuardedTrainer::new(
+    let err = Trainer::guarded(
         tcfg,
         GuardPolicy {
             max_retries: 2,
             ..Default::default()
         },
     )
-    .fit(&mut model, &data, &mut rng, &path)
+    .try_fit(&mut model, &data, &mut rng)
     .unwrap_err();
     assert!(
         matches!(err, DarError::RetriesExhausted { retries: 2, .. }),
         "wrong error: {err:?}"
     );
-    std::fs::remove_file(path).ok();
 }
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -377,8 +488,8 @@ fn guarded_checkpoint_is_resumable_by_plain_trainer() {
     };
     let mut rng = dar::rng(705);
     let mut model = Rnp::new(&cfg, &emb, ml, &mut rng);
-    GuardedTrainer::new(partial, policy)
-        .fit(&mut model, &data, &mut rng, &path)
+    Trainer::guarded(partial, policy)
+        .fit_checkpointed(&mut model, &data, &mut rng, &path)
         .unwrap();
 
     // …that a fresh process finishes with the plain trainer.

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use dar::core::guard::{GuardPolicy, GuardedTrainer};
+use dar::core::guard::GuardPolicy;
 use dar::obs::ObsEvent;
 use dar::prelude::*;
 use dar::serve::{BreakerPolicy, ServeConfig, Server};
@@ -82,8 +82,8 @@ fn guarded_run_deterministic(threads: usize, ckpt_name: &str) -> String {
             ..Default::default()
         };
         let path = tmpfile(ckpt_name);
-        GuardedTrainer::new(tcfg, open_policy())
-            .fit(&mut model, &data, &mut rng, &path)
+        Trainer::guarded(tcfg, open_policy())
+            .fit_checkpointed(&mut model, &data, &mut rng, &path)
             .expect("guarded run failed");
         std::fs::remove_file(path).ok();
         dar::obs::snapshot("train").deterministic_json()
@@ -102,15 +102,15 @@ fn guarded_train_deterministic_section_is_thread_invariant() {
     assert_eq!(one, four, "deterministic section diverged across budgets");
 
     // And it actually carries the signals: 2 epochs, their events, the
-    // seed + 2 epoch-boundary checkpoints.
+    // 2 epoch-boundary checkpoints.
     assert!(one.contains("\"train.epochs\":2"), "missing epochs: {one}");
     assert!(
         one.contains("\"kind\":\"epoch_done\""),
         "missing events: {one}"
     );
     assert!(
-        one.contains("\"train.checkpoints_saved\":3"),
-        "guarded runs checkpoint at seed + every epoch: {one}"
+        one.contains("\"train.checkpoints_saved\":2"),
+        "guarded runs checkpoint every epoch: {one}"
     );
 }
 

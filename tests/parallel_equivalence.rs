@@ -233,23 +233,20 @@ fn guarded_rollback_is_bit_identical_across_thread_budgets() {
                 Rnp::new(&cfg, &emb, ml, &mut rng),
                 FaultPlan::nan_loss_at(4),
             );
-            let ckpt = std::env::temp_dir()
-                .join(format!("dar_pareq_guard_{}_{threads}", std::process::id()));
             let mut train_rng = dar::rng(42);
-            let guarded = GuardedTrainer::new(two_epochs(), GuardPolicy::default())
-                .fit(&mut model, &data, &mut train_rng, &ckpt)
+            let guarded = Trainer::guarded(two_epochs(), GuardPolicy::default())
+                .try_fit(&mut model, &data, &mut train_rng)
                 .expect("guarded run recovers from the one-shot fault");
-            std::fs::remove_file(&ckpt).ok();
             (
-                fingerprint(&model, &guarded.report),
+                fingerprint(&model, &guarded),
+                guarded.rollbacks(),
                 guarded.events,
-                guarded.rollbacks,
             )
         })
     };
 
-    let (serial_fp, serial_events, serial_rb) = run(1);
-    let (parallel_fp, parallel_events, parallel_rb) = run(4);
+    let (serial_fp, serial_rb, serial_events) = run(1);
+    let (parallel_fp, parallel_rb, parallel_events) = run(4);
 
     assert!(serial_rb >= 1, "the scheduled fault must force a rollback");
     assert!(

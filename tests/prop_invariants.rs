@@ -149,15 +149,9 @@ proptest! {
                     ..Default::default()
                 };
                 let policy = GuardPolicy { max_retries: 0, ..GuardPolicy::default() };
-                let mut path = std::env::temp_dir();
-                path.push(format!(
-                    "dar_taint_prop_{}_{threads}_{seed}_{step}",
-                    std::process::id()
-                ));
-                let err = GuardedTrainer::new(tcfg, policy)
-                    .fit(&mut model, &data, &mut rng, &path)
+                let err = Trainer::guarded(tcfg, policy)
+                    .try_fit(&mut model, &data, &mut rng)
                     .expect_err("injected NaN must exhaust the zero retry budget");
-                std::fs::remove_file(&path).ok();
                 set_taint_mode(false);
                 clear_taint();
                 match err {
